@@ -5,6 +5,12 @@ punctuation separated into its own tokens and whitespace splitting;
 underscores and hyphens inside annotation tokens (cystic_duct,
 calot-triangle-dissection) are preserved so machine-generated captions
 tokenize reproducibly.
+
+BLEU and ROUGE-1/2 score from clipped n-gram counts; a corpus evaluation
+counts each side's n-grams once per pair and shares them between the two.
+ROUGE-L takes its longest common subsequence from the bit-parallel
+LCS-length recurrence (Allison & Dix, IPL 1986; Hyyrö, AWOCA 2004), which
+gives the same integer as the quadratic dynamic program.
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ from .detection import DetectionSet
 from .embeddings import EmbeddedText, EmbeddingTable
 
 _PUNCTUATION = set(".,;:!?\"'()[]{}")
+_BLEU_ORDERS = range(1, 5)  # corpus BLEU uses the default max_n = 4
 
 
 def tokenize(text: str) -> list[str]:
@@ -37,6 +44,48 @@ def ngram_counts(tokens: list[str], n: int) -> Counter:
     return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
 
 
+def _overlap(counts: Counter, limits: Counter) -> int:
+    """Clipped matches: each n-gram of ``counts`` counts at most as often as in ``limits``."""
+    return sum(min(count, limits[gram]) for gram, count in counts.items())
+
+
+def _bleu(
+    cand_counts: list[Counter], ref_counts: list[Counter], c: int, r: int, smoothing: bool
+) -> float:
+    """BLEU of a candidate of c tokens against a reference of r tokens.
+
+    ``cand_counts[n - 1]`` and ``ref_counts[n - 1]`` hold the n-gram counts
+    for n = 1..max_n.
+    """
+    if c == 0:
+        return 0.0
+    max_n = len(cand_counts)
+    log_sum = 0.0
+    for n, (cand, ref) in enumerate(zip(cand_counts, ref_counts), start=1):
+        total = sum(cand.values())
+        matched = _overlap(cand, ref)
+        if matched == 0 and smoothing and n > 1:
+            precision = (matched + 1) / (total + 1)
+        elif matched == 0 or total == 0:
+            return 0.0
+        else:
+            precision = matched / total
+        log_sum += log(precision) / max_n
+    brevity = 1.0 if c > r else exp(1.0 - r / c)
+    return brevity * exp(log_sum)
+
+
+def _rouge_n(cand_counts: Counter, ref_counts: Counter) -> float:
+    total = sum(ref_counts.values())
+    if total == 0:
+        return 0.0
+    return _overlap(ref_counts, cand_counts) / total
+
+
+def _rouge_l(candidate: list[str], reference: list[str]) -> float:
+    return lcs_length(candidate, reference) / len(reference)
+
+
 def bleu(
     candidate: list[str], reference: list[str], max_n: int = 4, smoothing: bool = False
 ) -> float:
@@ -49,38 +98,39 @@ def bleu(
     """
     if max_n < 1:
         raise ValueError(f"max_n must be >= 1, got {max_n}")
-    c, r = len(candidate), len(reference)
-    if c == 0:
-        return 0.0
-    log_sum = 0.0
-    for n in range(1, max_n + 1):
-        cand_counts = ngram_counts(candidate, n)
-        ref_counts = ngram_counts(reference, n)
-        total = sum(cand_counts.values())
-        matched = sum(min(count, ref_counts[gram]) for gram, count in cand_counts.items())
-        if matched == 0 and smoothing and n > 1:
-            precision = (matched + 1) / (total + 1)
-        elif matched == 0 or total == 0:
-            return 0.0
-        else:
-            precision = matched / total
-        log_sum += log(precision) / max_n
-    brevity = 1.0 if c > r else exp(1.0 - r / c)
-    return brevity * exp(log_sum)
+    orders = range(1, max_n + 1)
+    return _bleu(
+        [ngram_counts(candidate, n) for n in orders],
+        [ngram_counts(reference, n) for n in orders],
+        len(candidate),
+        len(reference),
+        smoothing,
+    )
 
 
 def lcs_length(a: list[str], b: list[str]) -> int:
-    """Longest common subsequence length (two-row dynamic program)."""
-    previous = [0] * (len(b) + 1)
+    """Longest common subsequence length, bit-parallel over the tokens of ``b``.
+
+    Bit j of ``V`` is 0 exactly where the dynamic program's current row
+    steps up by one at column j, so the zero bits count the LCS of the
+    tokens of ``a`` read so far with ``b``. Each token of ``a`` updates the
+    whole row with one integer addition, so ``len(a)`` big-integer steps
+    replace the ``len(a) * len(b)`` cells. Allison & Dix, "A bit-string
+    longest-common-subsequence algorithm", Information Processing Letters
+    23 (1986); Hyyrö, "Bit-parallel LCS-length computation revisited",
+    AWOCA 2004.
+    """
+    masks: dict[str, int] = {}
+    for j, token in enumerate(b):
+        masks[token] = masks.get(token, 0) | (1 << j)
+    full = (1 << len(b)) - 1
+    v = full
     for token in a:
-        current = [0]
-        for j, other in enumerate(b, start=1):
-            if token == other:
-                current.append(previous[j - 1] + 1)
-            else:
-                current.append(max(previous[j], current[j - 1]))
-        previous = current
-    return previous[len(b)]
+        match = masks.get(token)
+        if match is not None:
+            u = v & match
+            v = ((v + u) | (v - u)) & full
+    return len(b) - v.bit_count()
 
 
 def rouge(candidate: list[str], reference: list[str], variant: str = "r1") -> float:
@@ -92,17 +142,11 @@ def rouge(candidate: list[str], reference: list[str], variant: str = "r1") -> fl
     if not reference:
         raise ValueError("reference must be non-empty")
     if variant == "rL":
-        return lcs_length(candidate, reference) / len(reference)
+        return _rouge_l(candidate, reference)
     if variant not in ("r1", "r2"):
         raise ValueError(f"variant must be 'r1', 'r2', or 'rL', got {variant!r}")
     n = 1 if variant == "r1" else 2
-    ref_counts = ngram_counts(reference, n)
-    total = sum(ref_counts.values())
-    if total == 0:
-        return 0.0
-    cand_counts = ngram_counts(candidate, n)
-    overlap = sum(min(count, cand_counts[gram]) for gram, count in ref_counts.items())
-    return overlap / total
+    return _rouge_n(ngram_counts(candidate, n), ngram_counts(reference, n))
 
 
 class BertScore(NamedTuple):
@@ -270,10 +314,14 @@ def aggregate_caption_metrics(
     bert: list[BertScore] | None = [] if embedding_table is not None else None
     for generated, reference in pairs:
         cand, ref = tokenize(generated), tokenize(reference)
-        bleu_scores.append(bleu(cand, ref))
-        r1.append(rouge(cand, ref, "r1"))
-        r2.append(rouge(cand, ref, "r2"))
-        rl.append(rouge(cand, ref, "rL"))
+        if not ref:
+            raise ValueError("reference must be non-empty")
+        cand_counts = [ngram_counts(cand, n) for n in _BLEU_ORDERS]
+        ref_counts = [ngram_counts(ref, n) for n in _BLEU_ORDERS]
+        bleu_scores.append(_bleu(cand_counts, ref_counts, len(cand), len(ref), smoothing=False))
+        r1.append(_rouge_n(cand_counts[0], ref_counts[0]))
+        r2.append(_rouge_n(cand_counts[1], ref_counts[1]))
+        rl.append(_rouge_l(cand, ref))
         if bert is not None:
             cand_emb = embedding_table.get(cand)
             ref_emb = embedding_table.get(ref)

@@ -6,6 +6,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from surgreport.detection import threshold_detect
 from surgreport.embeddings import EmbeddedText
@@ -247,6 +249,30 @@ def test_rouge_l_matches_lcs_oracle():
         assert rouge(a, b, "rL") == pytest.approx(lcs_oracle(a, b) / len(b), abs=1e-12)
 
 
+@pytest.mark.parametrize("alphabet_size", [2, 30, 200])
+def test_lcs_matches_oracle_across_machine_words(alphabet_size):
+    # Lengths around 64 and 128 put the bit vectors' carries across word edges.
+    rng = random.Random(alphabet_size)
+    alphabet = [f"t{i}" for i in range(alphabet_size)]
+    lengths = [0, 1, 2, 63, 64, 65, 127, 128, 129, 300]
+    cases = [(m, n) for m in lengths for n in (1, 63, 64, 65, 128, 300)]
+    cases += [(rng.randint(0, 300), rng.randint(0, 300)) for _ in range(12)]
+    for m, n in cases:
+        a = [rng.choice(alphabet) for _ in range(m)]
+        b = [rng.choice(alphabet) for _ in range(n)]
+        assert lcs_length(a, b) == lcs_oracle(a, b), (m, n)
+        assert lcs_length(b, a) == lcs_oracle(a, b), (m, n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.sampled_from("abcde"), max_size=150),
+    st.lists(st.sampled_from("abcde"), max_size=150),
+)
+def test_lcs_property_matches_oracle(a, b):
+    assert lcs_length(a, b) == lcs_oracle(a, b)
+
+
 def test_bertscore_identical_embeddings():
     vectors = np.eye(4)[:3]
     a = EmbeddedText(("x", "y", "z"), vectors)
@@ -329,3 +355,53 @@ def test_metric_report_record_fields():
     record = report.to_record()
     assert set(record) == set(report.FIELDS)
     assert record["precision"] is None
+
+
+def _random_caption_pairs(rng, count):
+    words = "the grasper hook is retracting dissecting liver gallbladder , .".split()
+    return [
+        (
+            " ".join(rng.choice(words) for _ in range(rng.randint(0, 90))),
+            " ".join(rng.choice(words) for _ in range(rng.randint(1, 90))),
+        )
+        for _ in range(count)
+    ]
+
+
+def _mean_of_public_scores(pairs):
+    scores = {"bleu": [], "rouge1": [], "rouge2": [], "rougeL": []}
+    for generated, reference in pairs:
+        cand, ref = tokenize(generated), tokenize(reference)
+        scores["bleu"].append(bleu(cand, ref))
+        scores["rouge1"].append(rouge(cand, ref, "r1"))
+        scores["rouge2"].append(rouge(cand, ref, "r2"))
+        scores["rougeL"].append(rouge(cand, ref, "rL"))
+    return {name: float(np.mean(values)) for name, values in scores.items()}
+
+
+@pytest.mark.parametrize(
+    "pairs",
+    [
+        pytest.param([("the hook", "the hook is dissecting"), ("a b c", "a b c")], id="short"),
+        pytest.param([("", "the grasper is retracting the liver")], id="empty-candidate"),
+        pytest.param([("the hook is dissecting the gallbladder",) * 2] * 3, id="identical"),
+        pytest.param(
+            [
+                ("the the the the grasper grasper", "the grasper holds the the liver"),
+                ("a b a b a b a b", "a b a b c"),
+            ],
+            id="repeated-tokens",
+        ),
+        pytest.param([("liver liver", "liver"), ("the liver", "gallbladder")], id="one-token-ref"),
+        pytest.param(_random_caption_pairs(random.Random(41), 60), id="random"),
+    ],
+)
+def test_aggregate_equals_mean_of_public_scores(pairs):
+    report = aggregate_caption_metrics(pairs)
+    expected = _mean_of_public_scores(pairs)
+    assert {name: getattr(report, name) for name in expected} == expected
+
+
+def test_aggregate_rejects_empty_reference():
+    with pytest.raises(ValueError, match="reference"):
+        aggregate_caption_metrics([("a b", " ")])
