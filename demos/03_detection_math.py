@@ -41,14 +41,20 @@ logits[vocab.detection_classes.index("gallbladder")] = 0.3
 
 for temperature in (1.0, 2.0):
     probs = probabilities_from_logits(logits, "sigmoid", temperature)
-    detection = threshold_detect(probs, 0.5)
-    names = [vocab.detection_classes[i] for i in sorted(detection.detected)]
+    detected = np.flatnonzero(threshold_detect(probs, 0.5))
+    names = [vocab.detection_classes[i] for i in detected]
     print(f"\nT = {temperature}: detected {names}")
-    for i in sorted(detection.detected):
+    for i in detected:
         print(f"    {vocab.detection_classes[i]:12s} p = {probs[i]:.3f}")
 
 # The threshold is strict: a probability of exactly 0.5 is not a detection.
-print("\nties at 0.5 detect nothing:", threshold_detect(np.full(21, 0.5), 0.5).detected == frozenset())
+print("\nties at 0.5 detect nothing:", not threshold_detect(np.full(21, 0.5), 0.5).any())
+
+# The pipeline squashes and thresholds a whole (frames, 21) matrix in one
+# call each; threshold_detect returns a boolean mask of the same shape.
+frames = np.stack([logits, -logits, np.zeros(21)])
+mask = threshold_detect(probabilities_from_logits(frames, "sigmoid"), 0.5)
+print("\ndetections per frame of a 3-frame matrix:", mask.sum(axis=1).tolist())
 
 # Inverse-frequency class weights counter the long tail of rare classes.
 frequencies = np.array([900, 50, 700, 30, 120, 90] + [60] * 15)

@@ -5,6 +5,8 @@ and computes an embedding-based score with the deterministic stand-in
 embedding provider.
 """
 
+import numpy as np
+
 from surgreport import (
     average_precision,
     bertscore,
@@ -47,14 +49,14 @@ for candidate in candidates:
     score = bertscore(embed(candidate), embed(reference))
     print(f"  precision {score.precision:.3f}  recall {score.recall:.3f}  f1 {score.f1:.3f}")
 
-# Detection-side metrics: micro-averaged cells and the ranking sweep.
-truth = [[1, 0, 1, 0], [0, 1, 0, 0], [1, 1, 0, 0]]
-predicted = [[1, 0, 1, 0], [0, 1, 1, 0], [1, 0, 0, 0]]
+# Detection-side metrics take (frames, classes) matrices: micro-averaged
+# cells, and the ranking sweep per class column.
+truth = np.array([[1, 0, 1, 0], [0, 1, 0, 0], [1, 1, 0, 0]])
+predicted = np.array([[1, 0, 1, 0], [0, 1, 1, 0], [1, 0, 0, 0]])
 print("\nmicro precision/recall/f1/accuracy:", classification_metrics(predicted, truth))
 
-ranked = [
-    [(0.9, 1), (0.7, 1), (0.4, 0), (0.2, 0)],  # clean ranking
-    [(0.8, 0), (0.6, 1), (0.3, 1), (0.1, 0)],  # one inversion
-]
-result = average_precision(ranked, n_instruments=1)
+# Class 0 ranks both positives first; class 1 has one inversion.
+scores = np.array([[0.9, 0.8], [0.7, 0.6], [0.4, 0.3], [0.2, 0.1]])
+relevant = np.array([[1, 0], [1, 1], [0, 1], [0, 0]])
+result = average_precision(scores, relevant, n_instruments=1)
 print("per-class AP:", [f"{ap:.3f}" for ap in result.per_class])

@@ -122,21 +122,21 @@ def cmd_detect(config: PipelineConfig, videos: list[str] | None = None) -> list[
     """Map logits to probabilities and thresholded detections."""
     validate_paths(config, ("logits",))
     vocab = config.vocabulary()
-    logits_records = read_logits(config.paths.logits)
+    table = read_logits(config.paths.logits)
     if videos:
-        logits_records = [r for r in logits_records if r.video_id in videos]
-    if not logits_records:
+        known = set(table.video_ids.tolist())
+        missing = [v for v in videos if v not in known]
+        if missing:
+            raise ConfigError(f"unknown video ids: {missing}")
+        table = table.select(np.isin(table.video_ids, videos))
+    if not len(table):
         raise ConfigError("no logits records to process")
-    detections = []
-    for record in logits_records:
-        probs = probabilities_from_logits(record.logits, config.detection.mode)
-        detections.append(
-            threshold_detect(probs, config.detection.threshold, (record.video_id, record.frame_index))
-        )
+    probs = probabilities_from_logits(table.values, config.detection.mode)
+    detected = threshold_detect(probs, config.detection.threshold)
     out = config.output_dir()
     out.mkdir(parents=True, exist_ok=True)
     path = out / "detections.jsonl"
-    write_detections(path, detections, vocab)
+    write_detections(path, table, probs, detected, vocab)
     _write_manifest(config, "detect", [path])
     return [path]
 
@@ -151,16 +151,15 @@ def cmd_calibrate(config: PipelineConfig) -> list[Path]:
     frames = {
         (rec.video_id, f.frame_index): f for rec in records for f in rec.frames
     }
-    logits_by_ref = {
-        (r.video_id, r.frame_index): r.logits for r in read_logits(config.paths.logits)
-    }
+    table = read_logits(config.paths.logits)
+    row_of = dict(zip(table.keys(), range(len(table))))
     validation = sorted(split.validation)
-    missing = [ref for ref in validation if ref not in logits_by_ref]
+    missing = [ref for ref in validation if ref not in row_of]
     if missing:
         raise ConfigError(
             f"missing logits rows for {len(missing)} validation frames, e.g. {missing[:3]}"
         )
-    z = np.asarray([logits_by_ref[ref] for ref in validation])
+    z = table.values[[row_of[ref] for ref in validation]]
     y = np.asarray([truth_bits(frames[ref], vocab) for ref in validation])
     result = fit_temperature(
         z,
@@ -200,7 +199,14 @@ def _caption_pairs(generated_path: str, reference_path: str, kind: str) -> list[
         raise ConfigError(
             f"{kind} caption keys do not align: generated-only {only_gen}, reference-only {only_ref}"
         )
-    return [(gen[key], ref[key]) for key in sorted(gen)]
+    keys = sorted(gen)
+    # tokenize() yields no tokens exactly when the text is all whitespace.
+    blank = next((key for key in keys if not ref[key].strip()), None)
+    if blank is not None:
+        raise ConfigError(
+            f"{kind}_captions: reference caption {blank} in {reference_path} is blank"
+        )
+    return [(gen[key], ref[key]) for key in keys]
 
 
 def _detection_report(config: PipelineConfig, vocab) -> dict | None:
@@ -208,31 +214,17 @@ def _detection_report(config: PipelineConfig, vocab) -> dict | None:
         return None
     records, _ = _load_records(config, None)
     frames = {(rec.video_id, f.frame_index): f for rec in records for f in rec.frames}
-    logits_records = read_logits(config.paths.logits)
-    missing = [
-        (r.video_id, r.frame_index)
-        for r in logits_records
-        if (r.video_id, r.frame_index) not in frames
-    ]
+    table = read_logits(config.paths.logits)
+    if not len(table):
+        raise ConfigError(f"no logits records in {config.paths.logits}")
+    keys = table.keys()
+    missing = [key for key in keys if key not in frames]
     if missing:
         raise ConfigError(f"logits rows without annotations, e.g. {missing[:3]}")
-    truths = []
-    predictions = []
-    n_classes = len(vocab.detection_classes)
-    probs_matrix = []
-    for record in logits_records:
-        probs = probabilities_from_logits(record.logits, config.detection.mode)
-        probs_matrix.append(probs)
-        predictions.append(threshold_detect(probs, config.detection.threshold))
-        truths.append(truth_bits(frames[(record.video_id, record.frame_index)], vocab))
-    cls = classification_metrics(predictions, truths)
-    truth_matrix = np.asarray(truths)
-    prob_matrix = np.asarray(probs_matrix)
-    ranked = [
-        list(zip(prob_matrix[:, i].tolist(), truth_matrix[:, i].astype(int).tolist()))
-        for i in range(n_classes)
-    ]
-    ap = average_precision(ranked, n_instruments=len(vocab.instruments))
+    truth = np.asarray([truth_bits(frames[key], vocab) for key in keys])
+    probs = probabilities_from_logits(table.values, config.detection.mode)
+    cls = classification_metrics(threshold_detect(probs, config.detection.threshold), truth)
+    ap = average_precision(probs, truth, n_instruments=len(vocab.instruments))
     row = MetricReport(
         precision=cls.precision, recall=cls.recall, f1=cls.f1, accuracy=cls.accuracy
     ).to_record()

@@ -4,17 +4,27 @@ The detection class space has 21 entries: the 6 instruments followed by the
 15 targets. Logits come from an external trained model; this module maps
 them to probabilities, applies thresholded multi-label detection, and
 evaluates the class-weighted binary cross-entropy.
+
+A logits file loads into one columnar ``LogitsTable``: ``video_ids`` and
+``frames`` with one entry per row, and ``values``, a float matrix of shape
+(N, 21). ``read_logits`` checks the whole table in one vectorized pass (row
+width, finiteness, duplicate (video, frame) keys) and reports the first bad
+record with its file and line. Squashing and thresholding work on any array
+whose last axis is the class axis, so the pipeline makes one call of each
+per table, and ``threshold_detect`` returns a boolean mask of the same shape.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from pathlib import Path
 
 import numpy as np
 
 from .dataset import FrameAnnotation
-from .jsonl import read_jsonl, write_jsonl
+from .errors import RecordError
+from .jsonl import read_jsonl, record_line, write_jsonl
 from .vocab import Vocabulary
 
 N_DETECTION_CLASSES = 21
@@ -64,13 +74,24 @@ class LogitsRecord:
             raise ValueError(f"non-finite logit for {self.video_id}@{self.frame_index}")
 
 
-@dataclass(frozen=True)
-class DetectionSet:
-    """Classes whose probability strictly exceeds the threshold."""
+@dataclass(frozen=True, eq=False)
+class LogitsTable:
+    """Logits of many frames as columns: row i is frame (video_ids[i], frames[i])."""
 
-    detected: frozenset[int]
-    probabilities: tuple[float, ...]
-    frame: tuple[str, int] | None = None
+    video_ids: np.ndarray  # str, shape (N,)
+    frames: np.ndarray  # int64, shape (N,)
+    values: np.ndarray  # float64, shape (N, 21)
+
+    def __len__(self) -> int:
+        return len(self.frames)
+
+    def keys(self) -> list[tuple[str, int]]:
+        """(video_id, frame) of every row, in row order."""
+        return list(zip(self.video_ids.tolist(), self.frames.tolist()))
+
+    def select(self, rows: np.ndarray) -> "LogitsTable":
+        """The rows picked by a boolean mask or an index array."""
+        return LogitsTable(self.video_ids[rows], self.frames[rows], self.values[rows])
 
 
 @dataclass(frozen=True)
@@ -153,21 +174,18 @@ def probabilities_from_logits(
 
 
 def threshold_detect(
-    probabilities: np.ndarray,
-    threshold: float | np.ndarray = 0.5,
-    frame: tuple[str, int] | None = None,
-) -> DetectionSet:
-    """Select classes with probability strictly above the threshold.
+    probabilities: np.ndarray, threshold: float | np.ndarray = 0.5
+) -> np.ndarray:
+    """Boolean mask of the classes whose probability is strictly above the threshold.
 
+    Works on one frame's vector or on an (N, K) matrix, class axis last.
     Ties at the threshold are excluded. A per-class threshold vector is
     accepted; the default is a single 0.5.
     """
     probs = np.asarray(probabilities, dtype=float)
     if probs.min(initial=0.0) < 0.0 or probs.max(initial=0.0) > 1.0:
         raise ValueError("probabilities must lie in [0, 1]")
-    thr = np.broadcast_to(np.asarray(threshold, dtype=float), probs.shape)
-    detected = frozenset(int(i) for i in np.nonzero(probs > thr)[0])
-    return DetectionSet(detected=detected, probabilities=tuple(float(p) for p in probs), frame=frame)
+    return probs > np.asarray(threshold, dtype=float)
 
 
 def class_weights(frequencies: np.ndarray, epsilon: float = 1e-6) -> ClassWeights:
@@ -219,12 +237,86 @@ def truth_bits(frame: FrameAnnotation, vocab: Vocabulary) -> np.ndarray:
     return bits
 
 
-def read_logits(path: str | Path) -> list[LogitsRecord]:
-    """Load a line-delimited logits file (video_id, frame, 21 floats per record)."""
-    return [
-        LogitsRecord(obj["video_id"], obj["frame"], tuple(float(x) for x in obj["logits"]))
-        for obj in read_jsonl(path)
-    ]
+_LOGITS_KEYS = ("video_id", "frame", "logits")
+_MAX_FRAME = np.iinfo(np.int64).max
+
+
+def _record_problem(obj) -> str | None:
+    """Why one decoded logits record cannot be a table row, or None."""
+    if not isinstance(obj, dict):
+        return "record must be a JSON object"
+    missing = [key for key in _LOGITS_KEYS if key not in obj]
+    if missing:
+        return f"missing field(s) {missing}"
+    if type(obj["video_id"]) is not str:
+        return f"video_id must be a string, got {obj['video_id']!r}"
+    frame = obj["frame"]
+    if type(frame) is not int or not 0 <= frame <= _MAX_FRAME:
+        return f"frame must be a nonnegative integer, got {frame!r}"
+    logits = obj["logits"]
+    if type(logits) is not list:
+        return f"logits must be a list, got {type(logits).__name__}"
+    if len(logits) != N_DETECTION_CLASSES:
+        return f"expected {N_DETECTION_CLASSES} logits, got {len(logits)}"
+    try:
+        numeric = np.array(logits, dtype=float).ndim == 1
+    except (TypeError, ValueError):
+        numeric = False
+    return None if numeric else "logits must be numbers"
+
+
+def read_logits(path: str | Path) -> LogitsTable:
+    """Load a line-delimited logits file (video_id, frame, 21 floats per record).
+
+    Every row is checked at once: field types, row width, finiteness, and
+    that no (video_id, frame) key repeats. The first failing record raises
+    RecordError with the file name and its line number.
+    """
+    objs = read_jsonl(path)
+
+    def fail(index: int, message: str) -> RecordError:
+        return RecordError(message, str(path), record_line(path, index))
+
+    table = None
+    try:
+        ids = [obj["video_id"] for obj in objs]
+        frames = [obj["frame"] for obj in objs]
+        rows = [obj["logits"] for obj in objs]
+        if (
+            set(map(type, ids)) <= {str}
+            and set(map(type, frames)) <= {int}
+            and set(map(type, rows)) <= {list}
+            and set(map(len, rows)) <= {N_DETECTION_CLASSES}
+        ):
+            frame_column = np.array(frames, dtype=np.int64)
+            values = np.array(rows, dtype=float)
+            if frame_column.min(initial=0) >= 0 and (values.ndim == 2 or not rows):
+                table = LogitsTable(
+                    np.array(ids, dtype=str),
+                    frame_column,
+                    values.reshape(len(rows), N_DETECTION_CLASSES),
+                )
+    except (KeyError, TypeError, ValueError, OverflowError):
+        pass
+    if table is None:
+        index, problem = next(
+            (i, problem) for i, obj in enumerate(objs) if (problem := _record_problem(obj))
+        )
+        raise fail(index, problem)
+    values = table.values
+
+    nonfinite = np.flatnonzero(~np.isfinite(values).all(axis=1))
+    if nonfinite.size:
+        i = int(nonfinite[0])
+        raise fail(i, f"non-finite logit for {ids[i]}@{frames[i]}")
+    _, video_codes = np.unique(table.video_ids, return_inverse=True)
+    order = np.lexsort((np.arange(len(table)), table.frames, video_codes))
+    repeats = (np.diff(video_codes[order]) == 0) & (np.diff(table.frames[order]) == 0)
+    if repeats.any():
+        # Within a key, rows sort by index: each repeat follows an earlier row.
+        i = int(order[1:][repeats].min())
+        raise fail(i, f"duplicate logits row for {ids[i]}@{frames[i]}")
+    return table
 
 
 def write_logits(path: str | Path, records: list[LogitsRecord]) -> int:
@@ -237,17 +329,29 @@ def write_logits(path: str | Path, records: list[LogitsRecord]) -> int:
     )
 
 
-def detection_record(detection: DetectionSet, vocab: Vocabulary) -> dict:
-    """Export shape: the logits schema plus probabilities and class names."""
+def write_detections(
+    path: str | Path,
+    table: LogitsTable,
+    probabilities: np.ndarray,
+    detected: np.ndarray,
+    vocab: Vocabulary,
+) -> int:
+    """One record per table row: the logits keys, probabilities and detected class names."""
     names = vocab.detection_classes
-    video_id, frame_index = detection.frame if detection.frame else ("", -1)
-    return {
-        "video_id": video_id,
-        "frame": frame_index,
-        "probabilities": list(detection.probabilities),
-        "detected": [names[i] for i in sorted(detection.detected)],
-    }
-
-
-def write_detections(path: str | Path, detections: list[DetectionSet], vocab: Vocabulary) -> int:
-    return write_jsonl(path, (detection_record(d, vocab) for d in detections))
+    return write_jsonl(
+        path,
+        (
+            {
+                "video_id": video_id,
+                "frame": frame,
+                "probabilities": probs,
+                "detected": list(compress(names, hits)),
+            }
+            for video_id, frame, probs, hits in zip(
+                table.video_ids.tolist(),
+                table.frames.tolist(),
+                probabilities.tolist(),
+                detected.tolist(),
+            )
+        ),
+    )

@@ -7,17 +7,24 @@ class SurgReportError(Exception):
     """Base class for all pipeline errors."""
 
 
-class AnnotationError(SurgReportError):
-    """Raised when an annotation file cannot be parsed or validated.
+class RecordError(SurgReportError):
+    """Raised when a record file cannot be parsed or validated.
 
     Carries the source name and 1-based line number of the offending record.
     """
 
-    def __init__(self, message: str, source: str = "<annotations>", line: int | None = None):
+    def __init__(self, message: str, source: str = "<records>", line: int | None = None):
         self.source = source
         self.line = line
         location = source if line is None else f"{source}:{line}"
         super().__init__(f"{location}: {message}")
+
+
+class AnnotationError(RecordError):
+    """Raised when an annotation file cannot be parsed or validated."""
+
+    def __init__(self, message: str, source: str = "<annotations>", line: int | None = None):
+        super().__init__(message, source, line)
 
 
 class GrammarError(SurgReportError):

@@ -22,7 +22,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .detection import DetectionSet
 from .embeddings import EmbeddedText, EmbeddingTable
 
 _PUNCTUATION = set(".,;:!?\"'()[]{}")
@@ -180,49 +179,35 @@ class ClassificationMetrics(NamedTuple):
     accuracy: float
 
 
-def _as_bits(predicted, n_classes: int) -> np.ndarray:
-    if isinstance(predicted, DetectionSet):
-        bits = np.zeros(n_classes)
-        bits[sorted(predicted.detected)] = 1.0
-        return bits
-    return np.asarray(predicted, dtype=float)
-
-
-def classification_metrics(predicted: list, truth: list) -> ClassificationMetrics:
+def classification_metrics(predicted: np.ndarray, truth: np.ndarray) -> ClassificationMetrics:
     """Micro-averaged precision/recall/F1/accuracy over all (frame, class) cells.
 
-    Degenerate conventions: precision is 0 with no predicted positives,
-    recall is 0 with no true positives in the truth, and F1 is 0 when both
-    precision and recall are 0.
+    ``predicted`` and ``truth`` are (N, K) 0/1 or boolean matrices, one row
+    per frame. Degenerate conventions: precision is 0 with no predicted
+    positives, recall is 0 with no true positives in the truth, and F1 is 0
+    when both precision and recall are 0.
     """
-    if len(predicted) == 0 or len(predicted) != len(truth):
-        raise ValueError(f"need equal non-empty lists, got {len(predicted)} and {len(truth)}")
-    truth_matrix = np.asarray([np.asarray(t, dtype=float) for t in truth])
-    n_classes = truth_matrix.shape[1]
-    pred_matrix = np.asarray([_as_bits(p, n_classes) for p in predicted])
-    if pred_matrix.shape != truth_matrix.shape:
-        raise ValueError(f"shape mismatch: {pred_matrix.shape} vs {truth_matrix.shape}")
-    tp = float(((pred_matrix == 1) & (truth_matrix == 1)).sum())
-    fp = float(((pred_matrix == 1) & (truth_matrix == 0)).sum())
-    fn = float(((pred_matrix == 0) & (truth_matrix == 1)).sum())
-    cells = pred_matrix.size
+    pred = np.asarray(predicted)
+    true = np.asarray(truth)
+    if pred.ndim != 2 or pred.shape[0] == 0 or pred.shape != true.shape:
+        raise ValueError(f"need equal non-empty (N, K) matrices, got {pred.shape} and {true.shape}")
+    pred, true = pred.astype(bool), true.astype(bool)
+    tp = float((pred & true).sum())
+    fp = float((pred & ~true).sum())
+    fn = float((~pred & true).sum())
     precision = tp / (tp + fp) if tp + fp > 0 else 0.0
     recall = tp / (tp + fn) if tp + fn > 0 else 0.0
     f1 = 0.0 if precision + recall == 0 else 2 * precision * recall / (precision + recall)
-    accuracy = float((pred_matrix == truth_matrix).sum()) / cells
+    accuracy = float((pred == true).sum()) / pred.size
     return ClassificationMetrics(precision, recall, f1, accuracy)
 
 
-def ap_from_ranked(pairs: list[tuple[float, int]]) -> float | None:
+def _ap(scores: np.ndarray, relevance: np.ndarray) -> float | None:
     """Area under the precision-recall curve via the threshold sweep.
 
     Sums (R_n - R_{n-1}) * P_n over thresholds at each distinct score in
-    descending order. Returns None when the class has no positives.
+    descending order. Returns None when there are no positives.
     """
-    if not pairs:
-        return None
-    scores = np.asarray([s for s, _ in pairs], dtype=float)
-    relevance = np.asarray([r for _, r in pairs], dtype=float)
     n_pos = relevance.sum()
     if n_pos == 0:
         return None
@@ -237,6 +222,14 @@ def ap_from_ranked(pairs: list[tuple[float, int]]) -> float | None:
     return float(((recall - previous_recall) * precision).sum())
 
 
+def ap_from_ranked(pairs: list[tuple[float, int]]) -> float | None:
+    """AP of one class from (score, relevance-bit) pairs; None without positives."""
+    if not pairs:
+        return None
+    scores, relevance = zip(*pairs)
+    return _ap(np.asarray(scores, dtype=float), np.asarray(relevance, dtype=float))
+
+
 class AveragePrecision(NamedTuple):
     per_class: tuple[float | None, ...]
     instruments: float | None
@@ -245,15 +238,19 @@ class AveragePrecision(NamedTuple):
 
 
 def average_precision(
-    ranked: list[list[tuple[float, int]]], n_instruments: int = 6
+    scores: np.ndarray, truth: np.ndarray, n_instruments: int = 6
 ) -> AveragePrecision:
     """Per-class AP plus means over the instrument and target class groups.
 
-    ``ranked`` holds one (score, relevance-bit) list per detection class,
-    instruments first. Classes without positives are excluded from the
-    means and reported in ``excluded``.
+    ``scores`` and ``truth`` are (N, K) matrices: one row per frame, one
+    column per detection class, instruments first. Classes without
+    positives are excluded from the means and reported in ``excluded``.
     """
-    per_class = tuple(ap_from_ranked(pairs) for pairs in ranked)
+    scores = np.asarray(scores, dtype=float)
+    truth = np.asarray(truth, dtype=float)
+    if scores.ndim != 2 or scores.shape != truth.shape:
+        raise ValueError(f"need equal (N, K) matrices, got {scores.shape} and {truth.shape}")
+    per_class = tuple(_ap(scores[:, k], truth[:, k]) for k in range(scores.shape[1]))
     excluded = tuple(i for i, ap in enumerate(per_class) if ap is None)
     instrument_aps = [ap for ap in per_class[:n_instruments] if ap is not None]
     target_aps = [ap for ap in per_class[n_instruments:] if ap is not None]

@@ -19,8 +19,6 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-import requests
-
 from .captions import ClipCaption, verb_forms
 from .dataset import Triplet
 from .errors import EndpointStatusError, MissingCredentialError, TransportError
@@ -230,6 +228,10 @@ def llm_generate(request: PromptRequest, endpoint: EndpointConfig) -> SurgicalRe
     credential is read from the configured environment variable and never
     logged.
     """
+    # Imported here: requests and its dependencies are costly to load, and
+    # only endpoint reports use them.
+    import requests
+
     credential = os.environ.get(endpoint.credential_env)
     if not credential:
         raise MissingCredentialError(

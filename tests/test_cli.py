@@ -2,6 +2,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 import yaml
@@ -113,6 +117,61 @@ def test_detect_threshold_override_suppresses_everything(workspace, vocab):
     assert main(["detect", "--config", config, "--threshold", "1.0"]) == 0
     rows = read_jsonl(out / "detections.jsonl")
     assert all(r["detected"] == [] for r in rows)
+
+
+def _logits_workspace(workspace, vocab):
+    tmp_path, records, annotations, out, _ = workspace
+    logits_path = tmp_path / "logits.jsonl"
+    write_logits(logits_path, make_logits(records, vocab, seed=5))
+    config = write_config(
+        tmp_path / "config.yaml",
+        paths={
+            "annotations": str(annotations),
+            "logits": str(logits_path),
+            "output_dir": str(out),
+        },
+    )
+    return logits_path, out, config
+
+
+def test_detect_videos_filter(workspace, vocab):
+    _, records, _, _, _ = workspace
+    logits_path, out, config = _logits_workspace(workspace, vocab)
+    assert main(["detect", "--config", config, "--videos", "VID02"]) == 0
+    rows = read_jsonl(out / "detections.jsonl")
+    assert [(r["video_id"], r["frame"]) for r in rows] == [
+        ("VID02", f.frame_index) for f in records[1].frames
+    ]
+
+
+def test_detect_unknown_video(workspace, vocab, capsys):
+    _, out, config = _logits_workspace(workspace, vocab)
+    assert main(["detect", "--config", config, "--videos", "VID01,NOPE"]) == 1
+    assert "unknown video ids: ['NOPE']" in capsys.readouterr().err
+    assert not (out / "detections.jsonl").exists()
+
+
+BAD_LOGITS_LINES = {
+    "width": '{"video_id": "VID01", "frame": 0, "logits": [0.5, 1.5]}',
+    "nan": '{"video_id": "VID01", "frame": 0, "logits": [NaN' + ", 0.0" * 20 + "]}",
+    "inf": '{"video_id": "VID01", "frame": 0, "logits": [-Infinity' + ", 0.0" * 20 + "]}",
+    "not-a-list": '{"video_id": "VID01", "frame": 0, "logits": {"grasper": 1.0}}',
+    "truncated": '{"video_id": "VID01", "frame": 0, "logits": [0.5, 1.5',
+}
+
+
+@pytest.mark.parametrize("command", ["detect", "calibrate", "evaluate"])
+@pytest.mark.parametrize("case", [*sorted(BAD_LOGITS_LINES), "duplicate"])
+def test_bad_logits_end_in_error_line(workspace, vocab, capsys, command, case):
+    logits_path, _, config = _logits_workspace(workspace, vocab)
+    lines = logits_path.read_text().splitlines()
+    # The bad record replaces line 5, or repeats line 2 there.
+    lines[4] = lines[1] if case == "duplicate" else BAD_LOGITS_LINES[case]
+    logits_path.write_text("\n".join(lines) + "\n")
+    assert main([command, "--config", config]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {logits_path}:5: ")
+    assert len(err.splitlines()) == 1
 
 
 def test_calibrate_on_calibrated_logits(tmp_path, vocab):
@@ -412,3 +471,34 @@ def test_seed_override_changes_split(tmp_path, vocab):
         assert main(["calibrate", "--config", config, "--seed", seed]) == 0
         outs.append(json.loads((out / "calibration.json").read_text()))
     assert outs[0] != outs[1]
+
+
+def test_evaluate_blank_reference_caption(workspace, vocab, capsys):
+    tmp_path, records, annotations, out, config = workspace
+    assert main(["preprocess", "--config", config]) == 0
+    rows = read_jsonl(out / "frame_captions.jsonl")
+    rows[3]["text"] = "  "
+    reference = tmp_path / "reference.jsonl"
+    reference.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+    config = write_config(
+        tmp_path / "config.yaml",
+        paths={"annotations": str(annotations), "output_dir": str(out)},
+        evaluate={
+            "generated_frame_captions": str(out / "frame_captions.jsonl"),
+            "reference_frame_captions": str(reference),
+        },
+    )
+    assert main(["evaluate", "--config", config]) == 1
+    err = capsys.readouterr().err
+    key = (rows[3]["video_id"], rows[3]["frame"])
+    assert err == f"error: frame_captions: reference caption {key} in {reference} is blank\n"
+
+
+def test_importing_the_cli_does_not_load_requests():
+    code = "import sys, surgreport.cli; print('requests' in sys.modules)"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert result.stdout.strip() == "False"

@@ -16,6 +16,7 @@ from surgreport.detection import (
     patchify,
     probabilities_from_logits,
     read_logits,
+    softmax,
     threshold_detect,
     truth_bits,
     unpatchify,
@@ -23,6 +24,7 @@ from surgreport.detection import (
     write_logits,
     LogitsRecord,
 )
+from surgreport.errors import RecordError
 
 from conftest import frame
 
@@ -123,17 +125,17 @@ def test_softmax_sums_to_one_and_argmax_invariant(logits, temperature):
 def test_threshold_detect_basic():
     probs = np.zeros(21)
     probs[0], probs[1], probs[2] = 0.6, 0.4, 0.51
-    assert sorted(threshold_detect(probs, 0.5).detected) == [0, 2]
+    assert np.flatnonzero(threshold_detect(probs, 0.5)).tolist() == [0, 2]
 
 
 def test_threshold_is_strict_at_ties():
-    assert threshold_detect(np.full(21, 0.5), 0.5).detected == frozenset()
+    assert not threshold_detect(np.full(21, 0.5), 0.5).any()
 
 
 def test_threshold_per_class_vector():
     probs = np.array([0.6, 0.6, 0.6])
     thr = np.array([0.5, 0.7, 0.6])
-    assert sorted(threshold_detect(probs, thr).detected) == [0]
+    assert np.flatnonzero(threshold_detect(probs, thr)).tolist() == [0]
 
 
 def test_threshold_against_brute_force_oracle():
@@ -142,7 +144,7 @@ def test_threshold_against_brute_force_oracle():
         probs = np.array([rng.random() for _ in range(21)])
         thr = rng.random()
         expected = {i for i, p in enumerate(probs) if p > thr}
-        assert threshold_detect(probs, thr).detected == expected
+        assert set(np.flatnonzero(threshold_detect(probs, thr)).tolist()) == expected
 
 
 def test_class_weights_symmetry():
@@ -243,7 +245,12 @@ def test_logits_file_round_trip(tmp_path):
     ]
     path = tmp_path / "logits.jsonl"
     assert write_logits(path, records) == 2
-    assert read_logits(path) == records
+    table = read_logits(path)
+    assert len(table) == 2
+    assert table.video_ids.tolist() == ["V", "V"]
+    assert table.frames.tolist() == [0, 1]
+    assert table.values.tolist() == [list(r.logits) for r in records]
+    assert table.keys() == [("V", 0), ("V", 1)]
 
 
 def test_logits_record_validation():
@@ -251,3 +258,80 @@ def test_logits_record_validation():
         LogitsRecord("V", 0, (1.0, 2.0))
     with pytest.raises(ValueError, match="finite"):
         LogitsRecord("V", 0, tuple([float("nan")] + [0.0] * 20))
+
+
+def test_threshold_matrix_matches_each_row():
+    rng = np.random.default_rng(5)
+    probs = rng.random((300, 21))
+    thr = rng.random(21)
+    mask = threshold_detect(probs, thr)
+    assert mask.shape == probs.shape and mask.dtype == bool
+    for row, hits in zip(probs, mask):
+        assert np.array_equal(threshold_detect(row, thr), hits)
+
+
+@pytest.mark.parametrize("mode", ["sigmoid", "softmax"])
+def test_matrix_squash_is_bitwise_equal_to_per_row(mode):
+    """One call on the (N, 21) matrix gives exactly the per-frame floats."""
+    rng = np.random.default_rng(11)
+    logits = np.concatenate(
+        [rng.normal(0.0, 3.0, (2000, 21)), rng.uniform(-800.0, 800.0, (50, 21))]
+    )
+    for temperature in (1.0, 0.37, 2.0):
+        matrix = probabilities_from_logits(logits, mode, temperature)
+        rows = np.array([probabilities_from_logits(z, mode, temperature) for z in logits])
+        assert matrix.tobytes() == rows.tobytes()
+    assert np.array_equal(softmax(logits), np.array([softmax(z) for z in logits]))
+
+
+def test_logits_table_select_and_keys(tmp_path):
+    records = [LogitsRecord(v, f, tuple([float(f)] * 21)) for v in ("A", "B") for f in (0, 1)]
+    write_logits(tmp_path / "logits.jsonl", records)
+    table = read_logits(tmp_path / "logits.jsonl")
+    subset = table.select(table.video_ids == "B")
+    assert subset.keys() == [("B", 0), ("B", 1)]
+    assert subset.values[:, 0].tolist() == [0.0, 1.0]
+    assert table.select(np.array([3, 0])).keys() == [("B", 1), ("A", 0)]
+
+
+GOOD_ROW = '{"video_id": "V", "frame": %d, "logits": [%s]}' % (0, ", ".join(["0.5"] * 21))
+
+
+@pytest.mark.parametrize(
+    ("bad_line", "message"),
+    [
+        ('{"video_id": "V", "frame": 7, "logits": [1.0, 2.0]}', "expected 21 logits, got 2"),
+        ('{"video_id": "V", "frame": 7, "logits": [NaN%s]}' % (", 0" * 20), "non-finite logit for V@7"),
+        ('{"video_id": "V", "frame": 7, "logits": [Infinity%s]}' % (", 0" * 20), "non-finite logit"),
+        ('{"video_id": "V", "frame": 7, "logits": "abc"}', "logits must be a list, got str"),
+        ('{"video_id": "V", "frame": 7, "logits": 3.5}', "logits must be a list, got float"),
+        ('{"video_id": "V", "frame": 7, "logits": [%s' % ", ".join(["0"] * 21), "malformed record"),
+        ('{"video_id": "V", "frame": 0, "logits": [%s]}' % ", ".join(["1"] * 21), "duplicate logits row for V@0"),
+        ('{"video_id": "V", "frame": 7, "logits": [%s]}' % ", ".join(['"x"'] * 21), "logits must be numbers"),
+        ('{"video_id": "V", "frame": 7, "logits": [%s]}' % ", ".join(["[1]"] * 21), "logits must be numbers"),
+        ('{"video_id": "V", "frame": -1, "logits": [%s]}' % ", ".join(["1"] * 21), "nonnegative integer"),
+        ('{"video_id": "V", "frame": 2.0, "logits": []}', "nonnegative integer"),
+        ('{"video_id": "V", "frame": %d, "logits": [%s]}' % (10**30, ", ".join(["1"] * 21)), "nonnegative integer"),
+        ('{"video_id": 3, "frame": 7, "logits": []}', "video_id must be a string"),
+        ('{"video_id": "V", "logits": []}', "missing field(s) ['frame']"),
+        ("[1, 2, 3]", "record must be a JSON object"),
+    ],
+)
+def test_read_logits_reports_first_bad_record_with_line(tmp_path, bad_line, message):
+    path = tmp_path / "logits.jsonl"
+    # A blank line before the bad record: line numbers count it, indices do not.
+    path.write_text(GOOD_ROW + "\n\n" + bad_line + "\n" + GOOD_ROW.replace(": 0,", ": 9,") + "\n")
+    with pytest.raises(RecordError) as exc:
+        read_logits(path)
+    assert exc.value.source == str(path)
+    assert exc.value.line == 3
+    assert str(exc.value).startswith(f"{path}:3: ")
+    assert message in str(exc.value)
+
+
+def test_read_logits_empty_file_is_an_empty_table(tmp_path):
+    path = tmp_path / "logits.jsonl"
+    path.write_text("\n")
+    table = read_logits(path)
+    assert len(table) == 0
+    assert table.values.shape == (0, 21)

@@ -1,9 +1,16 @@
-"""Golden bytes of `evaluate` on a small corpus of perturbed captions.
+"""Golden bytes of the pipeline's outputs on small synthetic corpora.
 
-The digests pin every float the command writes, so a refactor of the text
-metrics that changes any score, even in the last bit, fails here. They were
-recorded with the two-row dynamic-program ROUGE-L and per-metric n-gram
-counting; the bit-parallel LCS and shared n-gram counts reproduce them.
+The digests pin every float a command writes, so a refactor that changes
+any score, even in the last bit, fails here.
+
+- Caption scopes of `evaluate` on perturbed captions: recorded with the
+  two-row dynamic-program ROUGE-L and per-metric n-gram counting; the
+  bit-parallel LCS and shared n-gram counts reproduce them.
+- `detect`, `calibrate` and the detection scope of `evaluate`, in sigmoid
+  and softmax mode and with a threshold override: recorded with the
+  per-frame detection path (one squash and one threshold call per logits
+  row, per-frame `(score, bit)` lists for AP); the columnar logits table
+  reproduces them.
 """
 
 from __future__ import annotations
@@ -12,15 +19,17 @@ import hashlib
 import json
 import random
 
+import pytest
 import yaml
 
 from surgreport.cli import main
 from surgreport.dataset import write_annotations
+from surgreport.detection import LogitsRecord, write_logits
 from surgreport.embeddings import EmbeddingTable, deterministic_token_embeddings
 from surgreport.jsonl import read_jsonl
 from surgreport.metrics import tokenize
 
-from conftest import make_corpus
+from conftest import make_calibrated_logits, make_corpus
 
 GOLDEN_SHA256 = {
     "metrics.jsonl": "f416e072142bdb491c63e5d4cc7d177402fc0f3cefc248c992914c60b9d6cf9c",
@@ -98,3 +107,82 @@ def test_evaluate_output_bytes_are_pinned(tmp_path, vocab):
         name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in GOLDEN_SHA256
     }
     assert digests == GOLDEN_SHA256
+
+
+DETECTION_OUTPUTS = {
+    "detect": ("detections.jsonl",),
+    "calibrate": ("calibration.json", "reliability_bins_before.csv", "reliability_bins_after.csv"),
+    "evaluate": ("metrics.jsonl", "metrics.csv"),
+}
+
+DETECTION_GOLDEN_SHA256 = {
+    "sigmoid": {
+        "detections.jsonl": "aa418b063d1f53e5c993ca62fdcc65f04c8a909beb85f26b081b7382353a6c08",
+        "calibration.json": "2ba79051bdc36962cde56fe005487258a89fe87ce925a21707731bb8fdceb69a",
+        "reliability_bins_before.csv": "b65ca63521c14b7449690eb95d1ed8f4222633547144d0aef458cbe41cbdff2c",
+        "reliability_bins_after.csv": "0fc294273c37301121ce6b37258eac03ccabc9e86ff28b3de3478f9fef59dd12",
+        "metrics.jsonl": "0782ac2876e8b1e2947eac15c1be8785a92dffe293455c6372f6ad5a5a5f1e0f",
+        "metrics.csv": "59356db080abab7fef97ec46246eca80d1198dea7094f6ed7e16fa9e0bca3fee",
+    },
+    "sigmoid-threshold": {
+        "detections.jsonl": "029c073a04c7807e77639d2a7622a8a6dc127ae547caf7d2efa6d4a3691142ca",
+        "calibration.json": "2ba79051bdc36962cde56fe005487258a89fe87ce925a21707731bb8fdceb69a",
+        "reliability_bins_before.csv": "b65ca63521c14b7449690eb95d1ed8f4222633547144d0aef458cbe41cbdff2c",
+        "reliability_bins_after.csv": "0fc294273c37301121ce6b37258eac03ccabc9e86ff28b3de3478f9fef59dd12",
+        "metrics.jsonl": "6256b8040df62bb444e4ff03e269de211e45c8dc8e6587de8b71ff3fb079810b",
+        "metrics.csv": "211b645a17f5808d10bfbee1ac687537526f5d0096d227c042699cb9f50f98d7",
+    },
+    "softmax": {
+        "detections.jsonl": "419fbb1d7e5e4387639667dc4410b2e9c5beec8a1fae2b99e32de6118d57c161",
+        "calibration.json": "404a39b5874fdd2257a90efe8c466a5e29a8b1acdca84692ee10c920c0f72025",
+        "reliability_bins_before.csv": "1417e00661411fe8f6fd1e5f215e9d487bd65c6a41ab62f0ed5b64b5eb34f48a",
+        "reliability_bins_after.csv": "806e7a25418a9512c128eaab9a4852768b01e4acb1daa4852f0f12401a1cb92d",
+        "metrics.jsonl": "f4bbd97fc9dbc96dfdbdf3f95ed1fff05b173e77034d46563b4f5905dd8918a7",
+        "metrics.csv": "6d76578de4e7663a1447a55ca08d7f09b6a5131add91d2b67e691e8b8f16ecac",
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(DETECTION_GOLDEN_SHA256))
+def test_detection_output_bytes_are_pinned(tmp_path, vocab, case):
+    records = make_corpus(vocab, n_videos=3, n_frames=70, seed=23)
+    annotations = tmp_path / "annotations.jsonl"
+    write_annotations(annotations, records, vocab)
+    # One decimal gives tied scores, so AP's tie groups are exercised; the
+    # shuffle keeps the file out of (video, frame) order.
+    rows = [
+        LogitsRecord(r.video_id, r.frame_index, tuple(round(v, 1) for v in r.logits))
+        for r in make_calibrated_logits(records, vocab, seed=31, scale=2.0)
+    ]
+    random.Random(37).shuffle(rows)
+    logits = tmp_path / "logits.jsonl"
+    write_logits(logits, rows)
+    out = tmp_path / "out"
+    mode, _, override = case.partition("-")
+    config = tmp_path / "config.yaml"
+    config.write_text(
+        yaml.safe_dump(
+            {
+                "paths": {
+                    "annotations": str(annotations),
+                    "logits": str(logits),
+                    "output_dir": str(out),
+                },
+                "detection": {"mode": mode},
+            }
+        ),
+        encoding="utf-8",
+    )
+    flags = ["--threshold", "0.7"] if override else []
+    for command in DETECTION_OUTPUTS:
+        assert main([command, "--config", str(config), *flags]) == 0
+
+    detections = read_jsonl(out / "detections.jsonl")
+    assert len(detections) == len(rows)
+    assert any(row["detected"] for row in detections)
+    digests = {
+        name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+        for names in DETECTION_OUTPUTS.values()
+        for name in names
+    }
+    assert digests == DETECTION_GOLDEN_SHA256[case]

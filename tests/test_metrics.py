@@ -61,9 +61,21 @@ def test_classification_metrics_all_negative_predictions():
 
 
 def test_classification_metrics_accepts_detection_sets():
-    truth = [np.array([1.0, 0.0, 0.0])]
-    predicted = [threshold_detect(np.array([0.9, 0.1, 0.2]), 0.5)]
+    """A detection set is the boolean mask that threshold_detect returns."""
+    truth = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0]])
+    predicted = threshold_detect(np.array([[0.9, 0.1, 0.2], [0.4, 0.8, 0.7]]), 0.5)
+    assert predicted.dtype == bool
     assert classification_metrics(predicted, truth).accuracy == 1.0
+    assert classification_metrics(predicted, truth) == classification_metrics(
+        predicted.astype(float), truth
+    )
+
+
+def test_classification_metrics_rejects_mismatched_shapes():
+    with pytest.raises(ValueError, match="matrices"):
+        classification_metrics(np.zeros((2, 3)), np.zeros((2, 4)))
+    with pytest.raises(ValueError, match="matrices"):
+        classification_metrics(np.zeros((0, 3)), np.zeros((0, 3)))
 
 
 def test_classification_metrics_against_confusion_oracle():
@@ -149,14 +161,28 @@ def test_ap_random_scores_approach_prevalence():
 
 
 def test_average_precision_group_means():
-    perfect = [(0.9, 1), (0.1, 0)]
-    empty = [(0.5, 0)]
-    ranked = [perfect] * 6 + [perfect] * 14 + [empty]
-    result = average_precision(ranked, n_instruments=6)
+    # Two frames; classes 0-19 rank their one positive first, class 20 has none.
+    scores = np.array([[0.9] * 20 + [0.5], [0.1] * 20 + [0.5]])
+    truth = np.array([[1] * 20 + [0], [0] * 20 + [0]])
+    result = average_precision(scores, truth, n_instruments=6)
     assert result.instruments == pytest.approx(1.0)
     assert result.targets == pytest.approx(1.0)
     assert result.excluded == (20,)
     assert result.per_class[20] is None
+
+
+def test_average_precision_matrix_matches_per_class_pairs():
+    """Each column of the matrix form scores exactly as ap_from_ranked on its pairs."""
+    rng = np.random.default_rng(29)
+    scores = np.round(rng.random((400, 21)), 2)  # rounding makes ties
+    truth = (rng.random((400, 21)) < 0.2).astype(float)
+    truth[:, 3] = 0.0
+    result = average_precision(scores, truth, n_instruments=6)
+    for k in range(21):
+        pairs = list(zip(scores[:, k].tolist(), truth[:, k].astype(int).tolist()))
+        assert result.per_class[k] == ap_from_ranked(pairs)
+    assert result.excluded == (3,)
+    assert result.instruments == float(np.mean([result.per_class[k] for k in (0, 1, 2, 4, 5)]))
 
 
 def bleu_oracle(candidate, reference, max_n=4):

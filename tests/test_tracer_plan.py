@@ -1,0 +1,36 @@
+"""The traced benchmark run patches package functions by name.
+
+``bench/tracer.py`` lists in ``PLAN`` every (module, attribute) it wraps. A
+refactor that drops or renames one of them would only show up as a failing
+traced benchmark run; this test makes it fail here instead.
+"""
+
+from __future__ import annotations
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+
+
+def _load_tracer():
+    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_name_resolves_on_the_package():
+    plan = _load_tracer().PLAN
+    assert plan
+    unresolved = []
+    for target, attr, _, _ in plan:
+        module_name, _, class_name = target.partition(":")
+        owner = importlib.import_module(module_name)
+        if class_name:
+            owner = getattr(owner, class_name, None)
+        if not callable(getattr(owner, attr, None)):
+            unresolved.append(f"{target}.{attr}")
+    assert unresolved == []
+
