@@ -27,8 +27,8 @@ from pathlib import Path
 from typing import NamedTuple, NoReturn
 
 from .dataset import FrameAnnotation, Triplet
-from .errors import GrammarError
-from .jsonl import read_jsonl, write_jsonl
+from .errors import GrammarError, RecordError
+from .jsonl import read_jsonl, record_line, write_jsonl
 from .vocab import NULL_VERB_NAME, Vocabulary
 from .windowing import ClipWindow
 
@@ -329,7 +329,8 @@ def write_frame_captions(path: str | Path, captions: list[FrameCaption]) -> int:
 
 
 def read_frame_captions(path: str | Path) -> list[FrameCaption]:
-    return [FrameCaption(o["video_id"], o["frame"], o["text"]) for o in read_jsonl(path)]
+    fields = {"video_id": str, "frame": int, "text": str}
+    return [FrameCaption(o["video_id"], o["frame"], o["text"]) for o in read_jsonl(path, fields)]
 
 
 def write_clip_captions(path: str | Path, captions: list[ClipCaption]) -> int:
@@ -345,7 +346,11 @@ def write_clip_captions(path: str | Path, captions: list[ClipCaption]) -> int:
 def read_clip_captions(path: str | Path, vocab: Vocabulary | None = None) -> list[ClipCaption]:
     """Load clip captions; segments are reparsed from text when a vocabulary is given."""
     captions = []
-    for obj in read_jsonl(path):
-        segments = tuple(parse_clip_caption(obj["text"], vocab)) if vocab is not None else ()
+    fields = {"video_id": str, "start_frame": int, "text": str}
+    for index, obj in enumerate(read_jsonl(path, fields)):
+        try:
+            segments = tuple(parse_clip_caption(obj["text"], vocab)) if vocab is not None else ()
+        except GrammarError as exc:
+            raise RecordError(str(exc), str(path), record_line(path, index)) from None
         captions.append(ClipCaption(obj["video_id"], obj["start_frame"], segments, obj["text"]))
     return captions

@@ -63,15 +63,18 @@ def _write_manifest(config: PipelineConfig, command: str, outputs: list[Path]) -
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
+def _check_videos(videos: list[str], known) -> None:
+    missing = [v for v in videos if v not in known]
+    if missing:
+        raise ConfigError(f"unknown video ids: {missing}")
+
+
 def _load_records(config: PipelineConfig, videos: list[str] | None):
     validate_paths(config, ("annotations",))
     vocab = config.vocabulary()
     records = load_annotations(config.paths.annotations, vocab)
     if videos:
-        known = {r.video_id for r in records}
-        missing = [v for v in videos if v not in known]
-        if missing:
-            raise ConfigError(f"unknown video ids: {missing}")
+        _check_videos(videos, {r.video_id for r in records})
         records = [r for r in records if r.video_id in videos]
     if not records:
         raise ConfigError("no annotated videos to process")
@@ -124,10 +127,7 @@ def cmd_detect(config: PipelineConfig, videos: list[str] | None = None) -> list[
     vocab = config.vocabulary()
     table = read_logits(config.paths.logits)
     if videos:
-        known = set(table.video_ids.tolist())
-        missing = [v for v in videos if v not in known]
-        if missing:
-            raise ConfigError(f"unknown video ids: {missing}")
+        _check_videos(videos, set(table.video_ids.tolist()))
         table = table.select(np.isin(table.video_ids, videos))
     if not len(table):
         raise ConfigError("no logits records to process")
@@ -141,6 +141,15 @@ def cmd_detect(config: PipelineConfig, videos: list[str] | None = None) -> list[
     return [path]
 
 
+def _truth_matrix(records, keys: list, vocab) -> np.ndarray:
+    """Truth bits of the annotated frame behind each (video_id, frame) key, one row per key."""
+    frames = {(rec.video_id, f.frame_index): f for rec in records for f in rec.frames}
+    missing = [key for key in keys if key not in frames]
+    if missing:
+        raise ConfigError(f"logits rows without annotations, e.g. {missing[:3]}")
+    return np.asarray([truth_bits(frames[key], vocab) for key in keys])
+
+
 def cmd_calibrate(config: PipelineConfig) -> list[Path]:
     """Fit the temperature on the validation split and export the results."""
     validate_paths(config, ("annotations", "logits"))
@@ -148,19 +157,20 @@ def cmd_calibrate(config: PipelineConfig) -> list[Path]:
     split = split_dataset(
         records, config.split.ratios, config.split.seed, config.split.granularity
     )
-    frames = {
-        (rec.video_id, f.frame_index): f for rec in records for f in rec.frames
-    }
+    validation = sorted(split.validation)
+    if not validation:
+        raise ConfigError(
+            f"split.ratios {list(config.split.ratios)} leave no validation frames to calibrate on"
+        )
     table = read_logits(config.paths.logits)
     row_of = dict(zip(table.keys(), range(len(table))))
-    validation = sorted(split.validation)
     missing = [ref for ref in validation if ref not in row_of]
     if missing:
         raise ConfigError(
             f"missing logits rows for {len(missing)} validation frames, e.g. {missing[:3]}"
         )
     z = table.values[[row_of[ref] for ref in validation]]
-    y = np.asarray([truth_bits(frames[ref], vocab) for ref in validation])
+    y = _truth_matrix(records, validation, vocab)
     result = fit_temperature(
         z,
         y,
@@ -213,15 +223,10 @@ def _detection_report(config: PipelineConfig, vocab) -> dict | None:
     if not config.paths.logits or not Path(config.paths.logits).exists():
         return None
     records, _ = _load_records(config, None)
-    frames = {(rec.video_id, f.frame_index): f for rec in records for f in rec.frames}
     table = read_logits(config.paths.logits)
     if not len(table):
         raise ConfigError(f"no logits records in {config.paths.logits}")
-    keys = table.keys()
-    missing = [key for key in keys if key not in frames]
-    if missing:
-        raise ConfigError(f"logits rows without annotations, e.g. {missing[:3]}")
-    truth = np.asarray([truth_bits(frames[key], vocab) for key in keys])
+    truth = _truth_matrix(records, table.keys(), vocab)
     probs = probabilities_from_logits(table.values, config.detection.mode)
     cls = classification_metrics(threshold_detect(probs, config.detection.threshold), truth)
     ap = average_precision(probs, truth, n_instruments=len(vocab.instruments))
@@ -298,12 +303,8 @@ def cmd_report(config: PipelineConfig, videos: list[str] | None = None) -> list[
     for caption in captions:
         by_video.setdefault(caption.video_id, []).append(caption)
     if videos:
-        missing = [v for v in videos if v not in by_video]
-        if missing:
-            raise ConfigError(f"unknown video ids: {missing}")
-        selected = {v: by_video[v] for v in videos}
-    else:
-        selected = by_video
+        _check_videos(videos, by_video)
+    selected = {v: by_video[v] for v in videos} if videos else by_video
 
     report_dir = config.output_dir() / "reports"
     outputs: list[Path] = []
@@ -330,23 +331,16 @@ def cmd_report(config: PipelineConfig, videos: list[str] | None = None) -> list[
     return outputs
 
 
+# The config section of each field a flag overrides; the flag has the field's name.
+_FLAG_SECTIONS = {"seed": "split", "threshold": "detection", "mode": "detection", "offline": "report"}
+
+
 def _apply_overrides(config: PipelineConfig, args: argparse.Namespace) -> PipelineConfig:
-    if getattr(args, "seed", None) is not None:
-        config = dataclasses.replace(
-            config, split=dataclasses.replace(config.split, seed=args.seed)
-        )
-    if getattr(args, "threshold", None) is not None:
-        config = dataclasses.replace(
-            config, detection=dataclasses.replace(config.detection, threshold=args.threshold)
-        )
-    if getattr(args, "mode", None) is not None:
-        config = dataclasses.replace(
-            config, detection=dataclasses.replace(config.detection, mode=args.mode)
-        )
-    if getattr(args, "offline", False):
-        config = dataclasses.replace(
-            config, report=dataclasses.replace(config.report, offline=True)
-        )
+    for flag, section in _FLAG_SECTIONS.items():
+        value = getattr(args, flag, None)
+        if value is not None and value is not False:
+            updated = dataclasses.replace(getattr(config, section), **{flag: value})
+            config = dataclasses.replace(config, **{section: updated})
     return config
 
 

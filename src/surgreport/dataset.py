@@ -13,14 +13,13 @@ sees a single representation.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 
-from .errors import AnnotationError
-from .jsonl import dump_jsonl
+from .errors import RecordError
+from .jsonl import dump_jsonl, iter_jsonl
 from .vocab import NULL_TARGET_NAME, NULL_TOKEN, NULL_VERB_NAME, Vocabulary
 
 # One annotated frame per second of video.
@@ -109,11 +108,7 @@ class DatasetSplit:
 def _component_index(
     raw: object, category: str, null_name: str, vocab: Vocabulary
 ) -> int | None:
-    if raw is None:
-        return None
-    if not isinstance(raw, str):
-        raise KeyError(f"{category[:-1]} label must be a string, got {raw!r}")
-    if raw in (NULL_TOKEN, null_name):
+    if raw is None or raw in (NULL_TOKEN, null_name):
         return None
     return vocab.index_of(category, raw)
 
@@ -122,8 +117,6 @@ def _parse_triplet(raw: object, vocab: Vocabulary) -> Triplet:
     if not isinstance(raw, (list, tuple)) or len(raw) != 3:
         raise KeyError(f"triplet must be a [instrument, verb, target] list, got {raw!r}")
     instrument_name, verb_raw, target_raw = raw
-    if not isinstance(instrument_name, str):
-        raise KeyError(f"instrument label must be a string, got {instrument_name!r}")
     instrument = vocab.index_of("instruments", instrument_name)
     verb = _component_index(verb_raw, "verbs", NULL_VERB_NAME, vocab)
     target = _component_index(target_raw, "targets", NULL_TARGET_NAME, vocab)
@@ -132,42 +125,32 @@ def _parse_triplet(raw: object, vocab: Vocabulary) -> Triplet:
     return Triplet(instrument=instrument, verb=verb, target=target)
 
 
+_ANNOTATION_FIELDS = {"video_id": str, "frame": int, "phase": str, "triplets": list}
+
+
 def parse_annotations(
     source: bytes | str, vocab: Vocabulary, source_name: str = "<annotations>"
 ) -> list[VideoRecord]:
     """Parse line-delimited annotation records into validated video records.
 
     Records may arrive in any order; frames are sorted per video. Malformed
-    lines, unknown label names, and duplicate frame indices raise
-    AnnotationError with the offending line number.
+    records, unknown label names, and duplicate frame indices raise
+    RecordError with the offending line number.
     """
     text = source.decode("utf-8") if isinstance(source, bytes) else source
     frames_by_video: dict[str, dict[int, FrameAnnotation]] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
+    for lineno, obj in iter_jsonl(text, source_name, _ANNOTATION_FIELDS):
+        video_id, frame_index = obj["video_id"], obj["frame"]
+        if not video_id:
+            raise RecordError("video_id must be a non-empty string", source_name, lineno)
         try:
-            obj = json.loads(line)
-        except ValueError as exc:
-            raise AnnotationError(f"malformed record: {exc}", source_name, lineno) from None
-        if not isinstance(obj, dict):
-            raise AnnotationError("record must be a JSON object", source_name, lineno)
-        try:
-            video_id = obj["video_id"]
-            frame_index = obj["frame"]
-            phase_name = obj["phase"]
-            raw_triplets = obj.get("triplets", [])
-            if not isinstance(video_id, str) or not video_id:
-                raise KeyError("video_id must be a non-empty string")
-            if not isinstance(frame_index, int) or frame_index < 0:
-                raise KeyError(f"frame must be a nonnegative integer, got {frame_index!r}")
-            phase = vocab.index_of("phases", phase_name)
-            triplets = tuple(_parse_triplet(raw, vocab) for raw in raw_triplets)
+            phase = vocab.index_of("phases", obj["phase"])
+            triplets = tuple(_parse_triplet(raw, vocab) for raw in obj["triplets"])
         except KeyError as exc:
-            raise AnnotationError(str(exc).strip('"'), source_name, lineno) from None
+            raise RecordError(str(exc).strip('"'), source_name, lineno) from None
         frames = frames_by_video.setdefault(video_id, {})
         if frame_index in frames:
-            raise AnnotationError(
+            raise RecordError(
                 f"duplicate frame index {frame_index} for video {video_id}",
                 source_name,
                 lineno,
@@ -180,7 +163,7 @@ def parse_annotations(
         try:
             records.append(VideoRecord(video_id, ordered))
         except ValueError as exc:
-            raise AnnotationError(str(exc), source_name) from None
+            raise RecordError(str(exc), source_name) from None
     return records
 
 
@@ -190,7 +173,7 @@ def load_annotations(path: str | Path, vocab: Vocabulary) -> list[VideoRecord]:
     if path.is_dir():
         files = sorted(path.glob("*.jsonl"))
         if not files:
-            raise AnnotationError("no annotation files found", str(path))
+            raise RecordError("no annotation files found", str(path))
         records: list[VideoRecord] = []
         for file in files:
             records.extend(parse_annotations(file.read_bytes(), vocab, str(file)))

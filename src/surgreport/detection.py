@@ -237,75 +237,49 @@ def truth_bits(frame: FrameAnnotation, vocab: Vocabulary) -> np.ndarray:
     return bits
 
 
-_LOGITS_KEYS = ("video_id", "frame", "logits")
-_MAX_FRAME = np.iinfo(np.int64).max
+_LOGITS_FIELDS = {"video_id": str, "frame": int, "logits": list}
 
 
-def _record_problem(obj) -> str | None:
-    """Why one decoded logits record cannot be a table row, or None."""
-    if not isinstance(obj, dict):
-        return "record must be a JSON object"
-    missing = [key for key in _LOGITS_KEYS if key not in obj]
-    if missing:
-        return f"missing field(s) {missing}"
-    if type(obj["video_id"]) is not str:
-        return f"video_id must be a string, got {obj['video_id']!r}"
-    frame = obj["frame"]
-    if type(frame) is not int or not 0 <= frame <= _MAX_FRAME:
-        return f"frame must be a nonnegative integer, got {frame!r}"
-    logits = obj["logits"]
-    if type(logits) is not list:
-        return f"logits must be a list, got {type(logits).__name__}"
-    if len(logits) != N_DETECTION_CLASSES:
-        return f"expected {N_DETECTION_CLASSES} logits, got {len(logits)}"
+def _is_logits_row(row: list) -> bool:
     try:
-        numeric = np.array(logits, dtype=float).ndim == 1
-    except (TypeError, ValueError):
-        numeric = False
-    return None if numeric else "logits must be numbers"
+        return np.array(row, dtype=float).shape == (N_DETECTION_CLASSES,)
+    except (TypeError, ValueError, OverflowError):
+        return False
 
 
 def read_logits(path: str | Path) -> LogitsTable:
     """Load a line-delimited logits file (video_id, frame, 21 floats per record).
 
-    Every row is checked at once: field types, row width, finiteness, and
-    that no (video_id, frame) key repeats. The first failing record raises
-    RecordError with the file name and its line number.
+    Field types are checked as each record is read; then every row at once:
+    row width, numbers, finiteness, and that no (video_id, frame) key
+    repeats. The first failing record raises RecordError with the file name
+    and its line number.
     """
-    objs = read_jsonl(path)
+    objs = read_jsonl(path, _LOGITS_FIELDS)
 
     def fail(index: int, message: str) -> RecordError:
         return RecordError(message, str(path), record_line(path, index))
 
-    table = None
+    ids = [obj["video_id"] for obj in objs]
+    frames = [obj["frame"] for obj in objs]
+    rows = [obj["logits"] for obj in objs]
     try:
-        ids = [obj["video_id"] for obj in objs]
-        frames = [obj["frame"] for obj in objs]
-        rows = [obj["logits"] for obj in objs]
-        if (
-            set(map(type, ids)) <= {str}
-            and set(map(type, frames)) <= {int}
-            and set(map(type, rows)) <= {list}
-            and set(map(len, rows)) <= {N_DETECTION_CLASSES}
-        ):
-            frame_column = np.array(frames, dtype=np.int64)
-            values = np.array(rows, dtype=float)
-            if frame_column.min(initial=0) >= 0 and (values.ndim == 2 or not rows):
-                table = LogitsTable(
-                    np.array(ids, dtype=str),
-                    frame_column,
-                    values.reshape(len(rows), N_DETECTION_CLASSES),
-                )
-    except (KeyError, TypeError, ValueError, OverflowError):
-        pass
-    if table is None:
-        index, problem = next(
-            (i, problem) for i, obj in enumerate(objs) if (problem := _record_problem(obj))
-        )
-        raise fail(index, problem)
-    values = table.values
+        values = np.array(rows, dtype=float)
+        wellformed = values.shape[1:] == (N_DETECTION_CLASSES,) or not rows
+    except (TypeError, ValueError, OverflowError):
+        wellformed = False
+    if not wellformed:
+        i, row = next((i, row) for i, row in enumerate(rows) if not _is_logits_row(row))
+        if len(row) != N_DETECTION_CLASSES:
+            raise fail(i, f"expected {N_DETECTION_CLASSES} logits, got {len(row)}")
+        raise fail(i, "logits must be numbers")
+    table = LogitsTable(
+        np.array(ids, dtype=str),
+        np.array(frames, dtype=np.int64),
+        values.reshape(len(rows), N_DETECTION_CLASSES),
+    )
 
-    nonfinite = np.flatnonzero(~np.isfinite(values).all(axis=1))
+    nonfinite = np.flatnonzero(~np.isfinite(table.values).all(axis=1))
     if nonfinite.size:
         i = int(nonfinite[0])
         raise fail(i, f"non-finite logit for {ids[i]}@{frames[i]}")

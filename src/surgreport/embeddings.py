@@ -19,7 +19,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .jsonl import read_jsonl, write_jsonl
+from .errors import RecordError
+from .jsonl import read_jsonl, record_line, write_jsonl
+
+_EMBEDDING_FIELDS = {"key": str, "dim": int, "vectors": list}
 
 
 @dataclass(frozen=True)
@@ -54,9 +57,10 @@ def embedding_key(tokens: Sequence[str]) -> str:
 
 
 class EmbeddingTable:
-    """In-memory map from token-sequence keys to per-token vectors."""
+    """In-memory map from token-sequence keys to per-token vectors, read from ``source``."""
 
-    def __init__(self) -> None:
+    def __init__(self, source: str = "<embeddings>") -> None:
+        self.source = source
         self._entries: dict[str, np.ndarray] = {}
 
     def __len__(self) -> int:
@@ -66,10 +70,14 @@ class EmbeddingTable:
         self._entries[embedding_key(tokens)] = np.asarray(vectors, dtype=float)
 
     def get(self, tokens: Sequence[str]) -> EmbeddedText | None:
-        vectors = self._entries.get(embedding_key(tokens))
+        key = embedding_key(tokens)
+        vectors = self._entries.get(key)
         if vectors is None:
             return None
-        return EmbeddedText(tuple(tokens), vectors)
+        try:
+            return EmbeddedText(tuple(tokens), vectors)
+        except ValueError as exc:
+            raise RecordError(f"embedding entry {key}: {exc}", self.source) from None
 
     def save(self, path: str | Path) -> int:
         return write_jsonl(
@@ -82,12 +90,18 @@ class EmbeddingTable:
 
     @classmethod
     def load(cls, path: str | Path) -> "EmbeddingTable":
-        table = cls()
-        for obj in read_jsonl(path):
-            vectors = np.asarray(obj["vectors"], dtype=float)
-            if vectors.ndim != 2 or vectors.shape[1] != obj["dim"]:
-                raise ValueError(f"embedding entry {obj['key']}: inconsistent dimension")
-            table._entries[obj["key"]] = vectors
+        table = cls(str(path))
+        for index, obj in enumerate(read_jsonl(path, _EMBEDDING_FIELDS)):
+            key, dim = obj["key"], obj["dim"]
+            try:
+                vectors = np.asarray(obj["vectors"], dtype=float)
+            except (TypeError, ValueError, OverflowError):
+                vectors = np.empty(0)
+            # Zero-norm rows would fail normalization at lookup.
+            if vectors.ndim != 2 or vectors.shape[1] != dim or not np.linalg.norm(vectors, axis=1).all():
+                message = f"embedding entry {key}: vectors must be nonzero rows of {dim} numbers"
+                raise RecordError(message, str(path), record_line(path, index))
+            table._entries[key] = vectors
         return table
 
 

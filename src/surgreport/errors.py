@@ -20,11 +20,8 @@ class RecordError(SurgReportError):
         super().__init__(f"{location}: {message}")
 
 
-class AnnotationError(RecordError):
-    """Raised when an annotation file cannot be parsed or validated."""
-
-    def __init__(self, message: str, source: str = "<annotations>", line: int | None = None):
-        super().__init__(message, source, line)
+# Annotation files are record files; the name is kept for callers.
+AnnotationError = RecordError
 
 
 class GrammarError(SurgReportError):

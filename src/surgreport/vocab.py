@@ -76,7 +76,7 @@ class Vocabulary:
         """Look up a label name; raises KeyError with the category on miss."""
         try:
             return self._lookup[category][name]
-        except KeyError:
+        except (KeyError, TypeError):
             raise KeyError(f"unknown {category[:-1]} label {name!r}") from None
 
 

@@ -13,7 +13,7 @@ import yaml
 from surgreport.cli import main
 from surgreport.dataset import write_annotations
 from surgreport.detection import write_logits
-from surgreport.embeddings import EmbeddingTable, deterministic_token_embeddings
+from surgreport.embeddings import EmbeddingTable, deterministic_token_embeddings, embedding_key
 from surgreport.jsonl import read_jsonl
 from surgreport.metrics import tokenize
 
@@ -502,3 +502,164 @@ def test_importing_the_cli_does_not_load_requests():
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
     )
     assert result.stdout.strip() == "False"
+
+
+# Line 3 of each record file is replaced by the bad record. Clip captions are
+# parsed against the grammar only by `report`; `evaluate` reads the others.
+# (file, command, bad record, message)
+BAD_RECORDS = {
+    "annotations-missing-field": (
+        "annotations", "preprocess",
+        '{"video_id": "VID01", "frame": 2, "triplets": []}',
+        "missing field(s) ['phase']",
+    ),
+    "annotations-bool-frame": (
+        "annotations", "preprocess",
+        '{"video_id": "VID01", "frame": true, "phase": "preparation", "triplets": []}',
+        "frame must be a nonnegative integer, got bool",
+    ),
+    "annotations-not-an-object": (
+        "annotations", "preprocess",
+        '["VID01", 2]',
+        "record must be a JSON object",
+    ),
+    "frame-captions-missing-field": (
+        "frame_captions", "evaluate",
+        '{"video_id": "VID01", "frame": 2}',
+        "missing field(s) ['text']",
+    ),
+    "frame-captions-bool-frame": (
+        "frame_captions", "evaluate",
+        '{"video_id": "VID01", "frame": true, "text": "x"}',
+        "frame must be a nonnegative integer, got bool",
+    ),
+    "frame-captions-not-an-object": (
+        "frame_captions", "evaluate",
+        '"During phase preparation"',
+        "record must be a JSON object",
+    ),
+    "clip-captions-string-start": (
+        "clip_captions", "evaluate",
+        '{"video_id": "VID01", "start_frame": "16", "text": "x"}',
+        "start_frame must be a nonnegative integer, got str",
+    ),
+    "clip-captions-missing-field": (
+        "clip_captions", "evaluate",
+        '{"video_id": "VID01", "text": "x"}',
+        "missing field(s) ['start_frame']",
+    ),
+    "clip-captions-grammar": (
+        "clip_captions", "report",
+        '{"video_id": "VID01", "start_frame": 16, "text": "Later, it ends."}',
+        "offset 0: expected 'First'",
+    ),
+    "embeddings-missing-field": (
+        "embeddings", "evaluate",
+        '{"key": "x"}',
+        "missing field(s) ['dim', 'vectors']",
+    ),
+    "embeddings-string-vectors": (
+        "embeddings", "evaluate",
+        '{"key": "x", "dim": 32, "vectors": "x"}',
+        "vectors must be a list, got str",
+    ),
+    "embeddings-dimension": (
+        "embeddings", "evaluate",
+        '{"key": "x", "dim": 32, "vectors": [[1.0, 0.0]]}',
+        "embedding entry x: vectors must be nonzero rows of 32 numbers",
+    ),
+    "embeddings-zero-norm": (
+        "embeddings", "evaluate",
+        '{"key": "x", "dim": 2, "vectors": [[1.0, 0.0], [0.0, 0.0]]}',
+        "embedding entry x: vectors must be nonzero rows of 2 numbers",
+    ),
+    "embeddings-not-an-object": (
+        "embeddings", "evaluate",
+        "[]",
+        "record must be a JSON object",
+    ),
+}
+
+
+def _replace_line(path, lineno, text):
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines[lineno - 1] = text
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+@pytest.mark.parametrize("case", sorted(BAD_RECORDS))
+def test_bad_records_end_in_error_line(workspace, vocab, capsys, case):
+    kind, command, bad_line, message = BAD_RECORDS[case]
+    tmp_path, _, annotations, out, config = workspace
+    assert main(["preprocess", "--config", config]) == 0
+    generated = {
+        name: tmp_path / f"generated_{name}.jsonl" for name in ("frame_captions", "clip_captions")
+    }
+    for name, path in generated.items():
+        path.write_text((out / f"{name}.jsonl").read_text(encoding="utf-8"), encoding="utf-8")
+    embeddings = tmp_path / "embeddings.jsonl"
+    _embeddings_for_captions(generated.values(), embeddings)
+    config = write_config(
+        tmp_path / "config.yaml",
+        paths={
+            "annotations": str(annotations),
+            "output_dir": str(out),
+            "embeddings": str(embeddings),
+        },
+        evaluate={f"generated_{name}": str(path) for name, path in generated.items()},
+    )
+    bad_file = {"annotations": annotations, "embeddings": embeddings, **generated}[kind]
+    if command == "report":
+        bad_file = out / f"{kind}.jsonl"
+    _replace_line(bad_file, 3, bad_line)
+    capsys.readouterr()
+    assert main([command, "--config", config]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad_file}:3: ")
+    assert message in err
+    assert len(err.splitlines()) == 1
+
+
+def test_embedding_with_a_vector_missing_names_file_and_key(workspace, capsys):
+    tmp_path, _, annotations, out, config = workspace
+    assert main(["preprocess", "--config", config]) == 0
+    captions = out / "frame_captions.jsonl"
+    embeddings = tmp_path / "embeddings.jsonl"
+    _embeddings_for_captions([captions], embeddings)
+    tokens = tokenize(read_jsonl(captions)[0]["text"])
+    table = EmbeddingTable.load(embeddings)
+    table.put(tokens, deterministic_token_embeddings(tokens, dim=32, mode="basis")[:-1])
+    table.save(embeddings)
+    config = write_config(
+        tmp_path / "config.yaml",
+        paths={
+            "annotations": str(annotations),
+            "output_dir": str(out),
+            "embeddings": str(embeddings),
+        },
+        evaluate={"generated_frame_captions": str(captions)},
+    )
+    capsys.readouterr()
+    assert main(["evaluate", "--config", config]) == 1
+    problem = f"{len(tokens)} tokens but {len(tokens) - 1} vectors"
+    expected = f"error: {embeddings}: embedding entry {embedding_key(tokens)}: {problem}\n"
+    assert capsys.readouterr().err == expected
+
+
+@pytest.mark.parametrize("ratios", [[0.9, 0.1, 0.0], [1.0, 0.0, 0.0]])
+def test_calibrate_on_empty_validation_split(workspace, vocab, capsys, ratios):
+    logits_path, out, _ = _logits_workspace(workspace, vocab)
+    tmp_path, _, annotations, _, _ = workspace
+    config = write_config(
+        tmp_path / "config.yaml",
+        paths={
+            "annotations": str(annotations),
+            "logits": str(logits_path),
+            "output_dir": str(out),
+        },
+        split={"ratios": ratios},
+    )
+    assert main(["calibrate", "--config", config]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: split.ratios {ratios} leave no validation frames to calibrate on\n"
+    assert not (out / "calibration.json").exists()

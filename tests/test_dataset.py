@@ -17,7 +17,7 @@ from surgreport.dataset import (
     serialize_annotations,
     split_dataset,
 )
-from surgreport.errors import AnnotationError
+from surgreport.errors import AnnotationError, RecordError
 
 from conftest import frame, make_corpus
 
@@ -199,3 +199,34 @@ def test_phase_duration_table_from_records(vocab):
     assert rows[-1][1] == sum(counts)
     for name, count, minutes in rows:
         assert minutes == minutes_from_frames(count)
+
+
+@pytest.mark.parametrize("separator", ["\u2028", "\u2029", "\x85"])
+def test_round_trip_keeps_unicode_line_separators_in_video_ids(vocab, separator):
+    records = parse_annotations(SINGLE_FRAME.replace("VID01", "VID" + separator + "01"), vocab)
+    text = serialize_annotations(records, vocab)
+    assert separator in text
+    parsed = parse_annotations(text, vocab)
+    assert parsed == records
+    assert parsed[0].video_id == "VID" + separator + "01"
+
+
+@pytest.mark.parametrize(
+    ("field", "bad", "message"),
+    [
+        ('"frame": 0', '"frame": true', "frame must be a nonnegative integer, got bool"),
+        ('"frame": 0', '"frame": 0.0', "frame must be a nonnegative integer, got float"),
+        ('"frame": 0', '"frame": -1', "frame must be a nonnegative integer, got -1"),
+        ('"video_id": "VID01"', '"video_id": ""', "video_id must be a non-empty string"),
+        ('"video_id": "VID01"', '"video_id": 1', "video_id must be a string, got int"),
+    ],
+)
+def test_parse_bad_field_reports_line(vocab, field, bad, message):
+    text = SINGLE_FRAME.replace("VID01", "VID02") + SINGLE_FRAME.replace(field, bad)
+    with pytest.raises(AnnotationError, match=message) as exc:
+        parse_annotations(text, vocab, "a.jsonl")
+    assert (exc.value.source, exc.value.line) == ("a.jsonl", 2)
+
+
+def test_annotation_error_is_record_error():
+    assert AnnotationError is RecordError
