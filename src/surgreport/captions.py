@@ -23,6 +23,8 @@ docs/caption_grammar.md.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, groupby
+from operator import attrgetter
 from pathlib import Path
 from typing import NamedTuple, NoReturn
 
@@ -149,22 +151,11 @@ def render_clip_text(segments: list[PhaseSegment] | tuple[PhaseSegment, ...], vo
 
 def segments_from_frames(frames: list[FrameAnnotation]) -> list[PhaseSegment]:
     """Group ordered frames into maximal same-phase runs with merged actions."""
-    segments: list[PhaseSegment] = []
-    run_phase: int | None = None
-    run_length = 0
-    run_actions: dict[Triplet, None] = {}
-    for frame in frames:
-        if frame.phase != run_phase:
-            if run_phase is not None:
-                segments.append(PhaseSegment(run_phase, run_length, tuple(run_actions)))
-            run_phase = frame.phase
-            run_length = 0
-            run_actions = {}
-        run_length += 1
-        for action in frame.triplets:
-            run_actions.setdefault(action)
-    if run_phase is not None:
-        segments.append(PhaseSegment(run_phase, run_length, tuple(run_actions)))
+    segments = []
+    for phase, run in groupby(frames, key=attrgetter("phase")):
+        run = list(run)
+        actions = dict.fromkeys(chain.from_iterable(f.triplets for f in run))
+        segments.append(PhaseSegment(phase, len(run), tuple(actions)))
     return segments
 
 

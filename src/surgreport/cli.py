@@ -38,8 +38,8 @@ from .detection import (
     write_detections,
 )
 from .embeddings import EmbeddingTable
-from .errors import ConfigError, EndpointError, SurgReportError
-from .jsonl import write_jsonl
+from .errors import ConfigError, EndpointError, RecordError, SurgReportError
+from .jsonl import record_line, write_jsonl
 from .metrics import (
     MetricReport,
     aggregate_caption_metrics,
@@ -196,13 +196,23 @@ def cmd_calibrate(config: PipelineConfig) -> list[Path]:
     return outputs
 
 
-def _caption_pairs(generated_path: str, reference_path: str, kind: str) -> list[tuple[str, str]]:
+def _caption_texts(path: str, kind: str) -> dict[tuple[str, int], str]:
+    """Caption text by (video_id, frame) or (video_id, start_frame); a repeated key is an error."""
     if kind == "frame":
-        gen = {(c.video_id, c.frame_index): c.text for c in read_frame_captions(generated_path)}
-        ref = {(c.video_id, c.frame_index): c.text for c in read_frame_captions(reference_path)}
+        keyed = (((c.video_id, c.frame_index), c.text) for c in read_frame_captions(path))
     else:
-        gen = {(c.video_id, c.start_frame): c.text for c in read_clip_captions(generated_path)}
-        ref = {(c.video_id, c.start_frame): c.text for c in read_clip_captions(reference_path)}
+        keyed = (((c.video_id, c.start_frame), c.text) for c in read_clip_captions(path))
+    texts: dict[tuple[str, int], str] = {}
+    for index, (key, text) in enumerate(keyed):
+        if key in texts:
+            raise RecordError(f"{kind} caption {key} repeats an earlier row", path, record_line(path, index))
+        texts[key] = text
+    return texts
+
+
+def _caption_pairs(generated_path: str, reference_path: str, kind: str) -> list[tuple[str, str]]:
+    gen = _caption_texts(generated_path, kind)
+    ref = _caption_texts(reference_path, kind)
     if set(gen) != set(ref):
         only_gen = sorted(set(gen) - set(ref))[:3]
         only_ref = sorted(set(ref) - set(gen))[:3]

@@ -107,23 +107,32 @@ def _build(cls, data: dict, name: str):
     return cls(**data)
 
 
+def _ratios(value) -> tuple[float, float, float]:
+    numbers = type(value) is list and len(value) == 3 and all(type(r) in (int, float) for r in value)
+    # Negated comparisons, so a NaN fails them.
+    if not numbers or not (min(value) >= 0 and abs(sum(value) - 1.0) <= 1e-9):
+        raise ConfigError(
+            f"split.ratios must be a list of three nonnegative numbers that sum to 1, got {value!r}"
+        )
+    return tuple(value)
+
+
 def config_from_mapping(data: dict) -> PipelineConfig:
     report_data = dict(_section(data, "report"))
-    endpoint_data = report_data.pop("endpoint", None)
-    endpoint = _build(EndpointConfig, endpoint_data, "report.endpoint") if endpoint_data else None
+    endpoint_data = report_data.get("endpoint")
+    report_data["endpoint"] = (
+        _build(EndpointConfig, endpoint_data, "report.endpoint") if endpoint_data else None
+    )
     split_data = dict(_section(data, "split"))
     if "ratios" in split_data:
-        split_data["ratios"] = tuple(split_data["ratios"])
+        split_data["ratios"] = _ratios(split_data["ratios"])
     return PipelineConfig(
         paths=_build(PathsConfig, _section(data, "paths"), "paths"),
         windowing=_build(WindowingConfig, _section(data, "windowing"), "windowing"),
         detection=_build(DetectionConfig, _section(data, "detection"), "detection"),
         calibration=_build(CalibrationConfig, _section(data, "calibration"), "calibration"),
         split=_build(SplitConfig, split_data, "split"),
-        report=ReportSettings(
-            offline=report_data.get("offline", True),
-            endpoint=endpoint,
-        ),
+        report=_build(ReportSettings, report_data, "report"),
         evaluate=_build(EvaluateConfig, _section(data, "evaluate"), "evaluate"),
     )
 

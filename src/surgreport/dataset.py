@@ -275,21 +275,12 @@ def minutes_from_frames(frame_count: int) -> float:
     return float(minutes.quantize(Decimal("0.1"), rounding=ROUND_HALF_UP))
 
 
-def duration_rows_from_counts(
-    counts: dict[str, int] | list[int], vocab: Vocabulary
-) -> list[tuple[str, int, float]]:
-    """Per-phase (name, frame count, minutes) rows plus a final total row."""
-    if isinstance(counts, dict):
-        per_phase = [counts.get(name, 0) for name in vocab.phases]
-    else:
-        if len(counts) != len(vocab.phases):
-            raise ValueError(f"expected {len(vocab.phases)} phase counts, got {len(counts)}")
-        per_phase = list(counts)
-    rows = [
-        (name, count, minutes_from_frames(count))
-        for name, count in zip(vocab.phases, per_phase)
-    ]
-    total = sum(per_phase)
+def duration_rows_from_counts(counts: list[int], vocab: Vocabulary) -> list[tuple[str, int, float]]:
+    """Per-phase (name, frame count, minutes) rows, in vocabulary order, plus a total row."""
+    if len(counts) != len(vocab.phases):
+        raise ValueError(f"expected {len(vocab.phases)} phase counts, got {len(counts)}")
+    rows = [(name, count, minutes_from_frames(count)) for name, count in zip(vocab.phases, counts)]
+    total = sum(counts)
     rows.append(("total", total, minutes_from_frames(total)))
     return rows
 

@@ -17,11 +17,12 @@ import logging
 import os
 import time
 from dataclasses import dataclass
+from itertools import chain, groupby
 from pathlib import Path
 
 from .captions import ClipCaption, verb_forms
 from .dataset import Triplet
-from .errors import EndpointStatusError, MissingCredentialError, TransportError
+from .errors import ConfigError, EndpointStatusError, MissingCredentialError, TransportError
 from .vocab import Vocabulary
 
 log = logging.getLogger(__name__)
@@ -79,7 +80,6 @@ class MergedTimeline:
 @dataclass(frozen=True)
 class PromptRequest:
     template_id: str
-    clip_captions: tuple[str, ...]
     prompt: str
     clips: tuple[ClipCaption, ...]
 
@@ -106,6 +106,11 @@ class EndpointConfig:
     backoff_seconds: float = 0.5
     parallelism: int = 2
 
+    def __post_init__(self) -> None:
+        # llm_generate raises the error of its last attempt, so there must be one.
+        if type(self.max_attempts) is not int or self.max_attempts < 1:
+            raise ConfigError(f"endpoint max_attempts must be an integer >= 1, got {self.max_attempts!r}")
+
 
 def merge_timeline(clips: list[ClipCaption]) -> MergedTimeline:
     """Merge overlapping clip timelines into unique-frame phase entries.
@@ -120,53 +125,30 @@ def merge_timeline(clips: list[ClipCaption]) -> MergedTimeline:
     video_ids = {clip.video_id for clip in clips}
     if len(video_ids) > 1:
         raise ValueError(f"clips come from multiple videos: {sorted(video_ids)}")
-    ordered = sorted(clips, key=lambda c: c.start_frame)
-
-    frame_phase: dict[int, int] = {}
-    frame_actions: dict[int, tuple[Triplet, ...]] = {}
-    frame_clip: dict[int, int] = {}
-    for clip in ordered:
+    # Each frame belongs to the first clip, by start, that covers it.
+    owner: dict[int, tuple[int, tuple[Triplet, ...], int]] = {}
+    for clip in sorted(clips, key=lambda c: c.start_frame):
         index = clip.start_frame
         for segment in clip.segments:
-            for offset in range(segment.duration_seconds):
-                frame = index + offset
-                if frame not in frame_phase:
-                    frame_phase[frame] = segment.phase
-                    frame_actions[frame] = segment.actions
-                    frame_clip[frame] = clip.start_frame
+            claim = (segment.phase, segment.actions, clip.start_frame)
+            for frame in range(index, index + segment.duration_seconds):
+                owner.setdefault(frame, claim)
             index += segment.duration_seconds
 
-    entries: list[MergedEntry] = []
-    run_frames: list[int] = []
-    run_phase: int | None = None
-    run_actions: dict[Triplet, None] = {}
-
-    def close_run() -> None:
-        if run_phase is None:
-            return
+    entries = []
+    for phase, run in groupby(sorted(owner.items()), key=lambda item: item[1][0]):
+        claims = [claim for _, claim in run]
+        # The frames of one segment share its claim; take each segment once.
+        segments = [claim for claim, _ in groupby(claims)]
+        starts = [start for _, _, start in segments]
         entries.append(
             MergedEntry(
-                phase=run_phase,
-                total_seconds=len(run_frames),
-                actions=tuple(run_actions),
-                clip_range=(
-                    min(frame_clip[f] for f in run_frames),
-                    max(frame_clip[f] for f in run_frames),
-                ),
+                phase=phase,
+                total_seconds=len(claims),
+                actions=tuple(dict.fromkeys(chain.from_iterable(a for _, a, _ in segments))),
+                clip_range=(min(starts), max(starts)),
             )
         )
-
-    for frame in sorted(frame_phase):
-        phase = frame_phase[frame]
-        if phase != run_phase:
-            close_run()
-            run_phase = phase
-            run_frames = []
-            run_actions = {}
-        run_frames.append(frame)
-        for action in frame_actions[frame]:
-            run_actions.setdefault(action)
-    close_run()
     return MergedTimeline(video_id=next(iter(video_ids)), entries=tuple(entries))
 
 
@@ -178,7 +160,6 @@ def render_prompt(clips: list[ClipCaption]) -> PromptRequest:
     prompt = PROMPT_TEMPLATE.replace("{clip_captions}", numbered)
     return PromptRequest(
         template_id=PROMPT_TEMPLATE_ID,
-        clip_captions=tuple(clip.text for clip in clips),
         prompt=prompt,
         clips=tuple(clips),
     )
@@ -244,15 +225,13 @@ def llm_generate(request: PromptRequest, endpoint: EndpointConfig) -> SurgicalRe
         "max_tokens": endpoint.max_tokens,
     }
     url = endpoint.base_url.rstrip("/") + "/chat/completions"
-    last_error: Exception | None = None
-    response = None
+    # Each attempt that does not succeed binds ``error``; the last one is raised.
     for attempt in range(1, endpoint.max_attempts + 1):
+        if attempt > 1:
+            time.sleep(endpoint.backoff_seconds * 2 ** (attempt - 2))
         log.info(
             "report request %s attempt %d/%d (auth: Bearer ***, %d clip captions)",
-            url,
-            attempt,
-            endpoint.max_attempts,
-            len(request.clip_captions),
+            url, attempt, endpoint.max_attempts, len(request.clips),
         )
         try:
             response = requests.post(
@@ -262,29 +241,19 @@ def llm_generate(request: PromptRequest, endpoint: EndpointConfig) -> SurgicalRe
                 timeout=endpoint.timeout,
             )
         except requests.RequestException as exc:
-            last_error = exc
             log.warning("transport failure on attempt %d: %s", attempt, type(exc).__name__)
-            response = None
-        else:
-            if response.status_code == 200:
-                break
-            log.warning("endpoint status %d on attempt %d", response.status_code, attempt)
-            if response.status_code not in _TRANSIENT_STATUSES:
-                raise EndpointStatusError(
-                    f"endpoint answered status {response.status_code}", response.status_code
-                )
-            last_error = EndpointStatusError(
-                f"endpoint answered status {response.status_code}", response.status_code
-            )
-            response = None
-        if attempt < endpoint.max_attempts:
-            time.sleep(endpoint.backoff_seconds * 2 ** (attempt - 1))
-    if response is None:
-        if isinstance(last_error, EndpointStatusError):
-            raise last_error
-        raise TransportError(
-            f"request failed after {endpoint.max_attempts} attempts: {last_error}"
+            error = TransportError(f"request failed after {endpoint.max_attempts} attempts: {exc}")
+            continue
+        if response.status_code == 200:
+            break
+        log.warning("endpoint status %d on attempt %d", response.status_code, attempt)
+        error = EndpointStatusError(
+            f"endpoint answered status {response.status_code}", response.status_code
         )
+        if response.status_code not in _TRANSIENT_STATUSES:
+            raise error
+    else:
+        raise error
 
     try:
         narrative = response.json()["choices"][0]["message"]["content"]

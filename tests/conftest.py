@@ -111,10 +111,15 @@ def make_calibrated_logits(records, vocab, seed=0, scale=1.0) -> list[LogitsReco
 
 
 class StubChatServer:
-    """Local chat-completion endpoint that records requests."""
+    """Local chat-completion endpoint that records requests.
 
-    def __init__(self, completion="The procedure went well.", status=200):
+    The first requests are answered with ``statuses`` in order, every later
+    one with ``status``.
+    """
+
+    def __init__(self, completion="The procedure went well.", status=200, statuses=()):
         self.requests: list[dict] = []
+        pending = list(statuses)
         self.auth_headers: list[str] = []
         stub = self
 
@@ -126,7 +131,7 @@ class StubChatServer:
                 body = json.dumps(
                     {"choices": [{"message": {"content": completion}}]}
                 ).encode("utf-8")
-                self.send_response(status)
+                self.send_response(pending.pop(0) if pending else status)
                 self.send_header("Content-Type", "application/json")
                 self.send_header("Content-Length", str(len(body)))
                 self.end_headers()

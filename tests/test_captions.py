@@ -149,6 +149,39 @@ def test_segments_match_run_length_encoding_oracle(vocab):
         assert [(s.phase, s.duration_seconds) for s in segments] == [tuple(r) for r in runs]
 
 
+def _segments_from_frames_oracle(frames):
+    """The run-variable grouping of frames into phase segments, kept as an oracle."""
+    segments = []
+    run_phase = None
+    run_length = 0
+    run_actions = {}
+    for frame in frames:
+        if frame.phase != run_phase:
+            if run_phase is not None:
+                segments.append(PhaseSegment(run_phase, run_length, tuple(run_actions)))
+            run_phase = frame.phase
+            run_length = 0
+            run_actions = {}
+        run_length += 1
+        for action in frame.triplets:
+            run_actions.setdefault(action)
+    if run_phase is not None:
+        segments.append(PhaseSegment(run_phase, run_length, tuple(run_actions)))
+    return segments
+
+
+def test_segments_match_oracle_with_actions(vocab):
+    rng = random.Random(11)
+    actions = [triplet(vocab, name) for name in vocab.instruments[:4]]
+    actions.append(triplet(vocab, "grasper", "retract", "gallbladder"))
+    for _ in range(300):
+        frames = [
+            FrameAnnotation("V", i, tuple(rng.sample(actions, rng.randint(0, 3))), rng.randrange(3))
+            for i in range(rng.randint(0, 40))
+        ]
+        assert segments_from_frames(frames) == _segments_from_frames_oracle(frames)
+
+
 def test_clip_caption_missing_frames(vocab):
     frames = two_phase_frames(vocab)
     with pytest.raises(ValueError, match="missing frames"):

@@ -663,3 +663,77 @@ def test_calibrate_on_empty_validation_split(workspace, vocab, capsys, ratios):
     err = capsys.readouterr().err
     assert err == f"error: split.ratios {ratios} leave no validation frames to calibrate on\n"
     assert not (out / "calibration.json").exists()
+
+
+@pytest.mark.parametrize(
+    "ratios",
+    [[0.5, 0.5], [0.8, 0.1, 0.1, 0.0], 0.5, "0.8,0.1,0.1", [0.8, "0.1", 0.1], [True, 0, 0],
+     [0.5, 0.5, 0.5], [1.2, -0.1, -0.1], [float("nan"), 0.5, 0.5]],
+)
+def test_bad_split_ratios_end_in_error_line(workspace, vocab, capsys, ratios):
+    logits_path, out, _ = _logits_workspace(workspace, vocab)
+    tmp_path, _, annotations, _, _ = workspace
+    config = write_config(
+        tmp_path / "config.yaml",
+        paths={"annotations": str(annotations), "logits": str(logits_path), "output_dir": str(out)},
+        split={"ratios": ratios},
+    )
+    assert main(["calibrate", "--config", config]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: split.ratios ")
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("kind", ["frame", "clip"])
+@pytest.mark.parametrize("side", ["generated", "reference"])
+def test_evaluate_rejects_a_repeated_caption_key(workspace, capsys, kind, side):
+    tmp_path, _, annotations, out, config = workspace
+    assert main(["preprocess", "--config", config]) == 0
+    files = {}
+    for label in ("generated", "reference"):
+        files[label] = tmp_path / f"{label}_{kind}_captions.jsonl"
+        files[label].write_bytes((out / f"{kind}_captions.jsonl").read_bytes())
+    # A row inserted as line 3 repeats the key of line 2 with other text, so
+    # both files still hold the same set of keys.
+    lines = files[side].read_text(encoding="utf-8").splitlines()
+    repeated = {**json.loads(lines[1]), "text": json.loads(lines[2])["text"]}
+    lines.insert(2, json.dumps(repeated))
+    files[side].write_text("\n".join(lines) + "\n", encoding="utf-8")
+    config = write_config(
+        tmp_path / "config.yaml",
+        paths={"annotations": str(annotations), "output_dir": str(out)},
+        evaluate={f"{label}_{kind}_captions": str(path) for label, path in files.items()},
+    )
+    assert main(["evaluate", "--config", config]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {files[side]}:3: ")
+    assert "repeat" in err
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "report, message",
+    [
+        ({"bogus": 1}, "unknown keys in config section 'report': ['bogus']"),
+        (
+            {"offline": False, "endpoint": {"base_url": "http://127.0.0.1:9", "model": "m",
+                                            "max_attempts": 0}},
+            "max_attempts",
+        ),
+    ],
+)
+def test_bad_report_settings_end_in_error_line(workspace, monkeypatch, capsys, report, message):
+    tmp_path, _, annotations, out, config = workspace
+    assert main(["preprocess", "--config", config]) == 0
+    monkeypatch.setenv("SURGREPORT_API_KEY", "k")
+    config = write_config(
+        tmp_path / "config.yaml",
+        paths={"annotations": str(annotations), "output_dir": str(out)},
+        report=report,
+    )
+    capsys.readouterr()
+    assert main(["report", "--config", config]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert message in err
+    assert len(err.splitlines()) == 1

@@ -11,6 +11,11 @@ any score, even in the last bit, fails here.
   per-frame detection path (one squash and one threshold call per logits
   row, per-frame `(score, bit)` lists for AP); the columnar logits table
   reproduces them.
+- The clip captions of `preprocess` and every file `report` writes, offline
+  and from a stub endpoint: recorded with the run-variable phase grouping,
+  the per-frame merge dicts and the retry loop with a `response = None`
+  sentinel; the `groupby` grouping, the frame-owner map and the `for`/`else`
+  retry reproduce them.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from surgreport.embeddings import EmbeddingTable, deterministic_token_embeddings
 from surgreport.jsonl import read_jsonl
 from surgreport.metrics import tokenize
 
-from conftest import make_calibrated_logits, make_corpus
+from conftest import StubChatServer, make_calibrated_logits, make_corpus
 
 GOLDEN_SHA256 = {
     "metrics.jsonl": "f416e072142bdb491c63e5d4cc7d177402fc0f3cefc248c992914c60b9d6cf9c",
@@ -186,3 +191,51 @@ def test_detection_output_bytes_are_pinned(tmp_path, vocab, case):
         for name in names
     }
     assert digests == DETECTION_GOLDEN_SHA256[case]
+
+
+REPORT_GOLDEN_SHA256 = {
+    "clip_captions.jsonl": "00ae09d57e6b780b6fe4df6471a1c14f60af7b19137a92d2fdb9fa5145e0c341",
+    "reports/VID01.llm.timeline.json": "f031ff16927e92327a38bede96eaf74e978a1b1b46fa55e2433d4bbb8546235b",
+    "reports/VID01.llm.txt": "4c7eabb7547461217c623baa7ca6cfc40a89fd938e204747a7ed3fc00aea9527",
+    "reports/VID01.timeline.json": "3f03fa13e592559eb471d52ead78cabdfff9e854443a909b04645892f0e156b0",
+    "reports/VID01.txt": "eabb8124f0cd3ca6b363b04a5defceacb47b1d44c0602e4721897084446b8f54",
+    "reports/VID02.llm.timeline.json": "fb22f2f44140af8ffe839d4ff78072883e905eb630847a8217efb2da34319af3",
+    "reports/VID02.llm.txt": "4c7eabb7547461217c623baa7ca6cfc40a89fd938e204747a7ed3fc00aea9527",
+    "reports/VID02.timeline.json": "2521d29881aade92034d0915539ad488cf6c4720b568966298481755e55429b6",
+    "reports/VID02.txt": "b6cf8d7453e8394a34000caa512c74fcec25b0d9d5c4663765f347ce9806f1f8",
+    "reports/VID03.llm.timeline.json": "6eec25f38b0493d340069907827f4c1751d33fd369d7397b51ec5d11db349b80",
+    "reports/VID03.llm.txt": "4c7eabb7547461217c623baa7ca6cfc40a89fd938e204747a7ed3fc00aea9527",
+    "reports/VID03.timeline.json": "ab07c259f908d427e91f68ebdb887d02c6f55b3214392706a4d424a22359ef6d",
+    "reports/VID03.txt": "19da049c301e4fdf9a15021880a5d9e4162d49e247182b2fe4bd9b9efc187bea",
+}
+
+
+def test_report_output_bytes_are_pinned(tmp_path, vocab, monkeypatch):
+    # Two video lengths, so the videos differ in clip count.
+    records = [
+        *make_corpus(vocab, n_videos=2, n_frames=150, seed=43),
+        *make_corpus(vocab, n_videos=3, n_frames=97, seed=47)[2:],
+    ]
+    annotations = tmp_path / "annotations.jsonl"
+    write_annotations(annotations, records, vocab)
+    out = tmp_path / "out"
+    paths = {"annotations": str(annotations), "output_dir": str(out)}
+    config = tmp_path / "config.yaml"
+    config.write_text(yaml.safe_dump({"paths": paths}), encoding="utf-8")
+    assert main(["preprocess", "--config", str(config)]) == 0
+
+    monkeypatch.setenv("SURGREPORT_API_KEY", "k")
+    with StubChatServer(completion="Report from the stub.", statuses=[503]) as stub:
+        endpoint = {"base_url": stub.url, "model": "stub", "backoff_seconds": 0.01}
+        config.write_text(
+            yaml.safe_dump({"paths": paths, "report": {"offline": False, "endpoint": endpoint}}),
+            encoding="utf-8",
+        )
+        assert main(["report", "--config", str(config)]) == 0
+    assert len(stub.requests) == len(records) + 1
+
+    files = [out / "clip_captions.jsonl", *sorted((out / "reports").iterdir())]
+    digests = {
+        str(path.relative_to(out)): hashlib.sha256(path.read_bytes()).hexdigest() for path in files
+    }
+    assert digests == REPORT_GOLDEN_SHA256

@@ -7,11 +7,13 @@ import random
 import pytest
 
 from surgreport.captions import ClipCaption, PhaseSegment, render_clip_text
-from surgreport.errors import MissingCredentialError, TransportError, EndpointStatusError
+from surgreport.errors import ConfigError, MissingCredentialError, TransportError, EndpointStatusError
 from surgreport.report import (
     EndpointConfig,
     KEY_INSTRUCTION_DURATIONS,
     KEY_INSTRUCTION_NARRATIVE,
+    MergedEntry,
+    MergedTimeline,
     llm_generate,
     merge_timeline,
     offline_report,
@@ -80,6 +82,88 @@ def test_merge_unique_frame_total_over_random_clip_sets(vocab):
         assert timeline.total_seconds == len(covered)
         for a, b in zip(timeline.entries, timeline.entries[1:]):
             assert a.phase != b.phase
+
+
+def _merge_timeline_oracle(clips):
+    """The per-frame merge with parallel dicts and an explicit run, kept as an oracle."""
+    video_ids = {clip.video_id for clip in clips}
+    ordered = sorted(clips, key=lambda c: c.start_frame)
+
+    frame_phase = {}
+    frame_actions = {}
+    frame_clip = {}
+    for clip in ordered:
+        index = clip.start_frame
+        for segment in clip.segments:
+            for offset in range(segment.duration_seconds):
+                frame = index + offset
+                if frame not in frame_phase:
+                    frame_phase[frame] = segment.phase
+                    frame_actions[frame] = segment.actions
+                    frame_clip[frame] = clip.start_frame
+            index += segment.duration_seconds
+
+    entries = []
+    run_frames = []
+    run_phase = None
+    run_actions = {}
+
+    def close_run():
+        if run_phase is None:
+            return
+        entries.append(
+            MergedEntry(
+                phase=run_phase,
+                total_seconds=len(run_frames),
+                actions=tuple(run_actions),
+                clip_range=(
+                    min(frame_clip[f] for f in run_frames),
+                    max(frame_clip[f] for f in run_frames),
+                ),
+            )
+        )
+
+    for frame in sorted(frame_phase):
+        phase = frame_phase[frame]
+        if phase != run_phase:
+            close_run()
+            run_phase = phase
+            run_frames = []
+            run_actions = {}
+        run_frames.append(frame)
+        for action in frame_actions[frame]:
+            run_actions.setdefault(action)
+    close_run()
+    return MergedTimeline(video_id=next(iter(video_ids)), entries=tuple(entries))
+
+
+def _random_clip(vocab, rng, start):
+    """A clip of 1-40 frames in at most three phases, each segment with 0-3 actions."""
+    phases = rng.sample(range(3), 3)  # few phases, so runs meet across clips
+    actions = [triplet(vocab, name) for name in vocab.instruments[:4]]
+    segments = []
+    remaining = rng.randint(1, 40)
+    for phase in phases:
+        if remaining == 0:
+            break
+        duration = remaining if phase == phases[-1] else rng.randint(1, remaining)
+        segments.append(PhaseSegment(phase, duration, tuple(rng.sample(actions, rng.randint(0, 3)))))
+        remaining -= duration
+    return make_clip(vocab, start, segments)
+
+
+def test_merge_matches_oracle_on_random_clip_sets(vocab):
+    rng = random.Random(2024)
+    seen = {"gap": 0, "overlap": 0, "unsorted": 0}
+    for _ in range(300):
+        clips = [_random_clip(vocab, rng, rng.randrange(0, 120)) for _ in range(rng.randint(1, 7))]
+        starts = [clip.start_frame for clip in clips]
+        spans = sorted((c.start_frame, c.start_frame + c.size) for c in clips)
+        seen["unsorted"] += starts != sorted(starts)
+        seen["gap"] += any(lo > max(hi for _, hi in spans[:i]) for i, (lo, _) in enumerate(spans) if i)
+        seen["overlap"] += any(a[1] > b[0] for a, b in zip(spans, spans[1:]))
+        assert merge_timeline(clips) == _merge_timeline_oracle(clips)
+    assert min(seen.values()) >= 50, seen
 
 
 def test_merge_actions_union_in_first_appearance_order(vocab):
@@ -189,6 +273,43 @@ def test_llm_generate_retries_then_raises_transport_error(vocab, monkeypatch):
         with pytest.raises(TransportError, match="after 3 attempts"):
             llm_generate(request, endpoint)
     assert listener.accepts == 3
+
+
+def test_llm_generate_transient_status_on_every_attempt(vocab, monkeypatch):
+    monkeypatch.setenv("SURGREPORT_API_KEY", "secret-token")
+    request = render_prompt([full_phase_clip(vocab, 0)])
+    with StubChatServer(status=503) as stub:
+        endpoint = EndpointConfig(base_url=stub.url, model="m", backoff_seconds=0.01, max_attempts=4)
+        with pytest.raises(EndpointStatusError, match="^endpoint answered status 503$") as caught:
+            llm_generate(request, endpoint)
+    assert caught.value.status == 503
+    assert len(stub.requests) == 4
+
+
+def test_llm_generate_succeeds_after_a_transient_status(vocab, monkeypatch):
+    monkeypatch.setenv("SURGREPORT_API_KEY", "secret-token")
+    request = render_prompt([full_phase_clip(vocab, 0)])
+    with StubChatServer(completion="Second time lucky.", statuses=[503]) as stub:
+        endpoint = EndpointConfig(base_url=stub.url, model="m", backoff_seconds=0.01)
+        report = llm_generate(request, endpoint)
+    assert report.narrative == "Second time lucky."
+    assert len(stub.requests) == 2
+
+
+def test_llm_generate_non_transient_status_after_a_transient_one(vocab, monkeypatch):
+    monkeypatch.setenv("SURGREPORT_API_KEY", "secret-token")
+    request = render_prompt([full_phase_clip(vocab, 0)])
+    with StubChatServer(statuses=[502, 404]) as stub:
+        endpoint = EndpointConfig(base_url=stub.url, model="m", backoff_seconds=0.01, max_attempts=5)
+        with pytest.raises(EndpointStatusError, match="status 404"):
+            llm_generate(request, endpoint)
+    assert len(stub.requests) == 2
+
+
+@pytest.mark.parametrize("attempts", [0, -1, "3"])
+def test_endpoint_config_needs_at_least_one_attempt(attempts):
+    with pytest.raises(ConfigError, match="max_attempts"):
+        EndpointConfig(base_url="http://127.0.0.1:1", model="m", max_attempts=attempts)
 
 
 def test_llm_generate_missing_credential(vocab, monkeypatch):
