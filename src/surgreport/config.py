@@ -120,6 +120,8 @@ def _ratios(value) -> tuple[float, float, float]:
 def config_from_mapping(data: dict) -> PipelineConfig:
     report_data = dict(_section(data, "report"))
     endpoint_data = report_data.get("endpoint")
+    if endpoint_data is not None and not isinstance(endpoint_data, dict):
+        raise ConfigError(f"report.endpoint must be a mapping, got {endpoint_data!r}")
     report_data["endpoint"] = (
         _build(EndpointConfig, endpoint_data, "report.endpoint") if endpoint_data else None
     )

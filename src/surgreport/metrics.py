@@ -6,8 +6,11 @@ underscores and hyphens inside annotation tokens (cystic_duct,
 calot-triangle-dissection) are preserved so machine-generated captions
 tokenize reproducibly.
 
-BLEU and ROUGE-1/2 score from clipped n-gram counts; a corpus evaluation
-counts each side's n-grams once per pair and shares them between the two.
+A corpus evaluation tokenizes each distinct text once and scores each
+distinct (generated, reference) pair once. BLEU and ROUGE-1/2 score from
+clipped n-gram matches, counted columnar: every pair's n-grams become
+integer ``(pair, gram)`` codes, counted on each side with ``np.unique`` and
+matched with ``np.intersect1d``; the per-pair float math stays in Python.
 ROUGE-L takes its longest common subsequence from the bit-parallel
 LCS-length recurrence (Allison & Dix, IPL 1986; Hyyrö, AWOCA 2004), which
 gives the same integer as the quadratic dynamic program.
@@ -16,7 +19,8 @@ gives the same integer as the quadratic dynamic program.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from itertools import chain
 from math import exp, log
 from typing import NamedTuple
 
@@ -24,65 +28,92 @@ import numpy as np
 
 from .embeddings import EmbeddedText, EmbeddingTable
 
-_PUNCTUATION = set(".,;:!?\"'()[]{}")
-_BLEU_ORDERS = range(1, 5)  # corpus BLEU uses the default max_n = 4
+_PUNCTUATION = ".,;:!?\"'()[]{}"
 
 
 def tokenize(text: str) -> list[str]:
     """Deterministic tokenization for caption scoring."""
-    out = []
-    for ch in text.lower():
-        if ch in _PUNCTUATION:
-            out.append(f" {ch} ")
-        else:
-            out.append(ch)
-    return "".join(out).split()
+    text = text.lower()
+    # One C-level replace per mark present; each mark is replaced once, and
+    # the spaces it gains are no mark, so this pads each mark independently.
+    for mark in _PUNCTUATION:
+        if mark in text:
+            text = text.replace(mark, f" {mark} ")
+    return text.split()
 
 
 def ngram_counts(tokens: list[str], n: int) -> Counter:
     return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
 
 
-def _overlap(counts: Counter, limits: Counter) -> int:
-    """Clipped matches: each n-gram of ``counts`` counts at most as often as in ``limits``."""
-    return sum(min(count, limits[gram]) for gram, count in counts.items())
+def _gram_counts(
+    starts: np.ndarray, counts: np.ndarray, grams: np.ndarray, width: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct ``(pair, gram)`` codes and their counts, pair k's grams at ``starts[k]``."""
+    first = np.cumsum(counts) - counts
+    positions = np.repeat(starts - first, counts) + np.arange(counts.sum())
+    pair = np.repeat(np.arange(len(counts)), counts)
+    return np.unique(pair * width + grams[positions], return_counts=True)
 
 
-def _bleu(
-    cand_counts: list[Counter], ref_counts: list[Counter], c: int, r: int, smoothing: bool
-) -> float:
+def _clipped_matches(
+    texts: list[list[str]], pairs: list[tuple[int, int]], max_n: int
+) -> list[list[int]]:
+    """Clipped n-gram matches of each (candidate, reference) pair of ``texts`` indices.
+
+    Entry n - 1 of a pair's row counts the candidate's n-grams that the
+    reference holds, each at most as often as the reference holds it. All
+    tokens share one flat id array. The n-gram at each position gets the
+    dense id of its (n-1)-gram id and its last token; ``np.unique``
+    re-densifies at every order, so codes stay below (token count) times
+    max(token count, pair count), never (vocabulary size)**n.
+    """
+    ids: dict[str, int] = {}
+    flat = np.array([ids.setdefault(t, len(ids)) for text in texts for t in text], dtype=np.int64)
+    lengths = np.array([len(text) for text in texts], dtype=np.int64)
+    offsets = np.cumsum(lengths) - lengths
+    sides = np.array(pairs, dtype=np.int64).T
+    matches = np.zeros((max_n, len(pairs)), dtype=np.int64)
+    grams, width = flat, len(ids)
+    for n in range(1, max_n + 1):
+        if n > 1:
+            unique, grams = np.unique(grams[:-1] * len(ids) + flat[n - 1 :], return_inverse=True)
+            width = len(unique)
+        (cand, cand_counts), (ref, ref_counts) = (
+            _gram_counts(offsets[side], np.maximum(lengths[side] - n + 1, 0), grams, width)
+            for side in sides
+        )
+        common, i, j = np.intersect1d(cand, ref, assume_unique=True, return_indices=True)
+        hits = np.minimum(cand_counts[i], ref_counts[j])
+        matches[n - 1] = np.bincount(common // width, hits, minlength=len(pairs))
+    return matches.T.tolist()
+
+
+def _bleu(matched: list[int], c: int, r: int, smoothing: bool) -> float:
     """BLEU of a candidate of c tokens against a reference of r tokens.
 
-    ``cand_counts[n - 1]`` and ``ref_counts[n - 1]`` hold the n-gram counts
-    for n = 1..max_n.
+    ``matched[n - 1]`` holds the clipped n-gram matches for n = 1..max_n.
     """
     if c == 0:
         return 0.0
-    max_n = len(cand_counts)
+    max_n = len(matched)
     log_sum = 0.0
-    for n, (cand, ref) in enumerate(zip(cand_counts, ref_counts), start=1):
-        total = sum(cand.values())
-        matched = _overlap(cand, ref)
-        if matched == 0 and smoothing and n > 1:
-            precision = (matched + 1) / (total + 1)
-        elif matched == 0 or total == 0:
+    for n, hits in enumerate(matched, start=1):
+        total = max(c - n + 1, 0)
+        if hits == 0 and smoothing and n > 1:
+            precision = (hits + 1) / (total + 1)
+        elif hits == 0 or total == 0:
             return 0.0
         else:
-            precision = matched / total
+            precision = hits / total
         log_sum += log(precision) / max_n
     brevity = 1.0 if c > r else exp(1.0 - r / c)
     return brevity * exp(log_sum)
 
 
-def _rouge_n(cand_counts: Counter, ref_counts: Counter) -> float:
-    total = sum(ref_counts.values())
-    if total == 0:
-        return 0.0
-    return _overlap(ref_counts, cand_counts) / total
-
-
-def _rouge_l(candidate: list[str], reference: list[str]) -> float:
-    return lcs_length(candidate, reference) / len(reference)
+def _rouge_n(matched: int, r: int, n: int) -> float:
+    total = max(r - n + 1, 0)
+    return matched / total if total else 0.0
 
 
 def bleu(
@@ -97,14 +128,8 @@ def bleu(
     """
     if max_n < 1:
         raise ValueError(f"max_n must be >= 1, got {max_n}")
-    orders = range(1, max_n + 1)
-    return _bleu(
-        [ngram_counts(candidate, n) for n in orders],
-        [ngram_counts(reference, n) for n in orders],
-        len(candidate),
-        len(reference),
-        smoothing,
-    )
+    matched = _clipped_matches([candidate, reference], [(0, 1)], max_n)[0]
+    return _bleu(matched, len(candidate), len(reference), smoothing)
 
 
 def lcs_length(a: list[str], b: list[str]) -> int:
@@ -141,11 +166,12 @@ def rouge(candidate: list[str], reference: list[str], variant: str = "r1") -> fl
     if not reference:
         raise ValueError("reference must be non-empty")
     if variant == "rL":
-        return _rouge_l(candidate, reference)
+        return lcs_length(candidate, reference) / len(reference)
     if variant not in ("r1", "r2"):
         raise ValueError(f"variant must be 'r1', 'r2', or 'rL', got {variant!r}")
     n = 1 if variant == "r1" else 2
-    return _rouge_n(ngram_counts(candidate, n), ngram_counts(reference, n))
+    matched = _clipped_matches([candidate, reference], [(0, 1)], n)[0][n - 1]
+    return _rouge_n(matched, len(reference), n)
 
 
 class BertScore(NamedTuple):
@@ -303,40 +329,36 @@ def aggregate_caption_metrics(
 
     Each metric is the mean of per-pair sentence scores. BERTScore is
     computed only when the table provides embeddings for every caption in
-    the corpus; otherwise those fields stay None.
+    the corpus; otherwise those fields stay None. Each distinct text is
+    tokenized and looked up once and each distinct pair scored once; the
+    scores are expanded back to input order before every mean, so each mean
+    sums the same floats in the same order.
     """
     if not pairs:
         raise ValueError("cannot aggregate metrics over an empty corpus")
-    bleu_scores, r1, r2, rl = [], [], [], []
-    bert: list[BertScore] | None = [] if embedding_table is not None else None
-    for generated, reference in pairs:
-        cand, ref = tokenize(generated), tokenize(reference)
-        if not ref:
-            raise ValueError("reference must be non-empty")
-        cand_counts = [ngram_counts(cand, n) for n in _BLEU_ORDERS]
-        ref_counts = [ngram_counts(ref, n) for n in _BLEU_ORDERS]
-        bleu_scores.append(_bleu(cand_counts, ref_counts, len(cand), len(ref), smoothing=False))
-        r1.append(_rouge_n(cand_counts[0], ref_counts[0]))
-        r2.append(_rouge_n(cand_counts[1], ref_counts[1]))
-        rl.append(_rouge_l(cand, ref))
-        if bert is not None:
-            cand_emb = embedding_table.get(cand)
-            ref_emb = embedding_table.get(ref)
-            if cand_emb is None or ref_emb is None:
-                bert = None
-            else:
-                bert.append(bertscore(cand_emb, ref_emb))
-    report = MetricReport(
-        bleu=float(np.mean(bleu_scores)),
-        rouge1=float(np.mean(r1)),
-        rouge2=float(np.mean(r2)),
-        rougeL=float(np.mean(rl)),
-    )
-    if bert:
-        report = replace(
-            report,
-            bert_precision=float(np.mean([b.precision for b in bert])),
-            bert_recall=float(np.mean([b.recall for b in bert])),
-            bert_f1=float(np.mean([b.f1 for b in bert])),
+    distinct = {pair: k for k, pair in enumerate(dict.fromkeys(pairs))}
+    slot = {text: i for i, text in enumerate(dict.fromkeys(chain.from_iterable(distinct)))}
+    tokens = [tokenize(text) for text in slot]
+    indices = [(slot[generated], slot[reference]) for generated, reference in distinct]
+    if not all(tokens[ref] for _, ref in indices):
+        raise ValueError("reference must be non-empty")
+    rows = [
+        (
+            _bleu(matched, len(tokens[cand]), len(tokens[ref]), smoothing=False),
+            _rouge_n(matched[0], len(tokens[ref]), 1),
+            _rouge_n(matched[1], len(tokens[ref]), 2),
+            lcs_length(tokens[cand], tokens[ref]) / len(tokens[ref]),
         )
-    return report
+        for (cand, ref), matched in zip(indices, _clipped_matches(tokens, indices, 4))
+    ]
+    if embedding_table is not None:
+        embedded = []
+        for text in tokens:  # in the order the pairs first name them; stop at a miss
+            embedded.append(embedding_table.get(text))
+            if embedded[-1] is None:
+                break
+        else:
+            rows = [row + bertscore(embedded[c], embedded[r]) for row, (c, r) in zip(rows, indices)]
+    order = np.array([distinct[pair] for pair in pairs])
+    # MetricReport's first fields are bleu, rouge1, rouge2, rougeL and the BERT triple.
+    return MetricReport(*(float(np.mean(np.array(column)[order])) for column in zip(*rows)))

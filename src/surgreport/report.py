@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import os
 import time
 from dataclasses import dataclass
@@ -110,6 +111,12 @@ class EndpointConfig:
         # llm_generate raises the error of its last attempt, so there must be one.
         if type(self.max_attempts) is not int or self.max_attempts < 1:
             raise ConfigError(f"endpoint max_attempts must be an integer >= 1, got {self.max_attempts!r}")
+        # Each retry sleeps this long; the negated range test also fails a NaN.
+        backoff = self.backoff_seconds
+        if type(backoff) not in (int, float) or not 0 <= backoff < math.inf:
+            raise ConfigError(
+                f"endpoint backoff_seconds must be a finite number >= 0, got {backoff!r}"
+            )
 
 
 def merge_timeline(clips: list[ClipCaption]) -> MergedTimeline:

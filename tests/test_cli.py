@@ -720,6 +720,23 @@ def test_evaluate_rejects_a_repeated_caption_key(workspace, capsys, kind, side):
                                             "max_attempts": 0}},
             "max_attempts",
         ),
+        pytest.param(
+            {"endpoint": [{"a": 1}]},
+            "report.endpoint must be a mapping, got [{'a': 1}]",
+            id="endpoint-list",
+        ),
+        pytest.param(
+            {"endpoint": "abc"}, "report.endpoint must be a mapping, got 'abc'", id="endpoint-str"
+        ),
+        *[
+            pytest.param(
+                {"offline": False, "endpoint": {"base_url": "http://127.0.0.1:9", "model": "m",
+                                                "backoff_seconds": backoff}},
+                f"backoff_seconds must be a finite number >= 0, got {backoff!r}",
+                id=f"backoff-{backoff}",
+            )
+            for backoff in (-1, "0.5")
+        ],
     ],
 )
 def test_bad_report_settings_end_in_error_line(workspace, monkeypatch, capsys, report, message):

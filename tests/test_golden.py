@@ -5,7 +5,9 @@ any score, even in the last bit, fails here.
 
 - Caption scopes of `evaluate` on perturbed captions: recorded with the
   two-row dynamic-program ROUGE-L and per-metric n-gram counting; the
-  bit-parallel LCS and shared n-gram counts reproduce them.
+  bit-parallel LCS and shared n-gram counts reproduce them. The gaussian
+  run was recorded with the per-pair `Counter` scoring; the columnar,
+  deduplicated scoring reproduces it.
 - `detect`, `calibrate` and the detection scope of `evaluate`, in sigmoid
   and softmax mode and with a threshold override: recorded with the
   per-frame detection path (one squash and one threshold call per logits
@@ -39,6 +41,15 @@ from conftest import StubChatServer, make_calibrated_logits, make_corpus
 GOLDEN_SHA256 = {
     "metrics.jsonl": "f416e072142bdb491c63e5d4cc7d177402fc0f3cefc248c992914c60b9d6cf9c",
     "metrics.csv": "12419e4eb0c16710b20aaee50a24a28039e6ccfef40f72f2d091ab5d296679ec",
+}
+
+# The same run with gaussian token embeddings, whose cosines are inexact
+# BLAS sums. A similarity product taken in float32 moves these digests but
+# not the basis-vector ones above, whose cosines are exact; one-ulp changes
+# to single cosines are mostly rounded away in the means.
+GAUSSIAN_GOLDEN_SHA256 = {
+    "metrics.jsonl": "85bb941a8c1a9b615af46b6d71217a993b985c478e0da1f59bbe1382fce67c90",
+    "metrics.csv": "b44eb3c5ee92db62785e3f2c8d9cb299621c8e49313dd56b34470ee86ce41343",
 }
 
 
@@ -112,6 +123,50 @@ def test_evaluate_output_bytes_are_pinned(tmp_path, vocab):
         name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in GOLDEN_SHA256
     }
     assert digests == GOLDEN_SHA256
+
+
+def test_evaluate_output_bytes_are_pinned_gaussian(tmp_path, vocab):
+    annotations = tmp_path / "annotations.jsonl"
+    write_annotations(annotations, make_corpus(vocab, n_videos=2, n_frames=112, seed=19), vocab)
+    out = tmp_path / "out"
+    paths = {"annotations": str(annotations), "output_dir": str(out)}
+    config = tmp_path / "config.yaml"
+    config.write_text(yaml.safe_dump({"paths": paths}), encoding="utf-8")
+    assert main(["preprocess", "--config", str(config)]) == 0
+
+    rng = random.Random(2504)
+    generated = {}
+    for kind in ("frame", "clip"):
+        generated[kind] = tmp_path / f"generated_{kind}_captions.jsonl"
+        _perturbed_copy(out / f"{kind}_captions.jsonl", generated[kind], rng)
+    table = EmbeddingTable()
+    for path in (*generated.values(), out / "frame_captions.jsonl", out / "clip_captions.jsonl"):
+        for row in read_jsonl(path):
+            tokens = tokenize(row["text"])
+            table.put(tokens, deterministic_token_embeddings(tokens, dim=32, mode="gaussian"))
+    table.save(tmp_path / "embeddings.jsonl")
+    config.write_text(
+        yaml.safe_dump(
+            {
+                "paths": {**paths, "embeddings": str(tmp_path / "embeddings.jsonl")},
+                "evaluate": {
+                    "generated_frame_captions": str(generated["frame"]),
+                    "generated_clip_captions": str(generated["clip"]),
+                },
+            }
+        ),
+        encoding="utf-8",
+    )
+    assert main(["evaluate", "--config", str(config)]) == 0
+
+    rows = {row["scope"]: row for row in read_jsonl(out / "metrics.jsonl")}
+    for scope in ("frame_captions", "clip_captions"):
+        assert 0.0 < rows[scope]["bert_f1"] < 1.0, scope
+    digests = {
+        name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+        for name in GAUSSIAN_GOLDEN_SHA256
+    }
+    assert digests == GAUSSIAN_GOLDEN_SHA256
 
 
 DETECTION_OUTPUTS = {

@@ -3,6 +3,8 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,8 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from surgreport.detection import threshold_detect
-from surgreport.embeddings import EmbeddedText
+from surgreport.embeddings import (
+    EmbeddedText,
+    EmbeddingTable,
+    deterministic_token_embeddings,
+)
 from surgreport.metrics import (
+    MetricReport,
     aggregate_caption_metrics,
     ap_from_ranked,
     average_precision,
@@ -32,6 +39,26 @@ def test_tokenize_lowercases_and_separates_punctuation():
     assert tokens[1] == ","
     assert "22-second" in tokens
     assert tokens[-1] == "."
+
+
+_PUNCTUATION_ORACLE = set(".,;:!?\"'()[]{}")
+
+
+def _tokenize_oracle(text: str) -> list[str]:
+    """The per-character tokenizer that the per-mark ``str.replace`` one replaced."""
+    out = []
+    for ch in text.lower():
+        if ch in _PUNCTUATION_ORACLE:
+            out.append(f" {ch} ")
+        else:
+            out.append(ch)
+    return "".join(out).split()
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text(alphabet=st.one_of(st.sampled_from(".,;:!?\"'()[]{} \t\nAbİß_-"), st.characters())))
+def test_tokenize_equals_the_per_character_oracle(text):
+    assert tokenize(text) == _tokenize_oracle(text)
 
 
 def test_tokenize_preserves_annotation_tokens():
@@ -431,3 +458,206 @@ def test_aggregate_equals_mean_of_public_scores(pairs):
 def test_aggregate_rejects_empty_reference():
     with pytest.raises(ValueError, match="reference"):
         aggregate_caption_metrics([("a b", " ")])
+
+
+# The per-pair ``Counter`` scoring that the columnar, deduplicated scoring
+# replaced, kept verbatim (names suffixed) as the oracle for it.
+_BLEU_ORDERS = range(1, 5)
+
+
+def _overlap_oracle(counts: Counter, limits: Counter) -> int:
+    """Clipped matches: each n-gram of ``counts`` counts at most as often as in ``limits``."""
+    return sum(min(count, limits[gram]) for gram, count in counts.items())
+
+
+def _bleu_oracle(
+    cand_counts: list[Counter], ref_counts: list[Counter], c: int, r: int, smoothing: bool
+) -> float:
+    if c == 0:
+        return 0.0
+    max_n = len(cand_counts)
+    log_sum = 0.0
+    for n, (cand, ref) in enumerate(zip(cand_counts, ref_counts), start=1):
+        total = sum(cand.values())
+        matched = _overlap_oracle(cand, ref)
+        if matched == 0 and smoothing and n > 1:
+            precision = (matched + 1) / (total + 1)
+        elif matched == 0 or total == 0:
+            return 0.0
+        else:
+            precision = matched / total
+        log_sum += math.log(precision) / max_n
+    brevity = 1.0 if c > r else math.exp(1.0 - r / c)
+    return brevity * math.exp(log_sum)
+
+
+def _rouge_n_oracle(cand_counts: Counter, ref_counts: Counter) -> float:
+    total = sum(ref_counts.values())
+    if total == 0:
+        return 0.0
+    return _overlap_oracle(ref_counts, cand_counts) / total
+
+
+def _rouge_l_oracle(candidate: list[str], reference: list[str]) -> float:
+    return lcs_length(candidate, reference) / len(reference)
+
+
+def _aggregate_caption_metrics_oracle(
+    pairs: list[tuple[str, str]], embedding_table: EmbeddingTable | None = None
+) -> MetricReport:
+    if not pairs:
+        raise ValueError("cannot aggregate metrics over an empty corpus")
+    bleu_scores, r1, r2, rl = [], [], [], []
+    bert: list | None = [] if embedding_table is not None else None
+    for generated, reference in pairs:
+        cand, ref = tokenize(generated), tokenize(reference)
+        if not ref:
+            raise ValueError("reference must be non-empty")
+        cand_counts = [ngram_counts(cand, n) for n in _BLEU_ORDERS]
+        ref_counts = [ngram_counts(ref, n) for n in _BLEU_ORDERS]
+        bleu_scores.append(
+            _bleu_oracle(cand_counts, ref_counts, len(cand), len(ref), smoothing=False)
+        )
+        r1.append(_rouge_n_oracle(cand_counts[0], ref_counts[0]))
+        r2.append(_rouge_n_oracle(cand_counts[1], ref_counts[1]))
+        rl.append(_rouge_l_oracle(cand, ref))
+        if bert is not None:
+            cand_emb = embedding_table.get(cand)
+            ref_emb = embedding_table.get(ref)
+            if cand_emb is None or ref_emb is None:
+                bert = None
+            else:
+                bert.append(bertscore(cand_emb, ref_emb))
+    report = MetricReport(
+        bleu=float(np.mean(bleu_scores)),
+        rouge1=float(np.mean(r1)),
+        rouge2=float(np.mean(r2)),
+        rougeL=float(np.mean(rl)),
+    )
+    if bert:
+        report = replace(
+            report,
+            bert_precision=float(np.mean([b.precision for b in bert])),
+            bert_recall=float(np.mean([b.recall for b in bert])),
+            bert_f1=float(np.mean([b.f1 for b in bert])),
+        )
+    return report
+
+
+_CAPTION_FIELDS = MetricReport.FIELDS[:7]
+
+
+def _outcome(aggregate, pairs, table):
+    """The seven caption fields, or the error's type and message."""
+    try:
+        report = aggregate(pairs, table)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return {name: getattr(report, name) for name in _CAPTION_FIELDS}
+
+
+def _gaussian_table(pairs, missing=()):
+    """Gaussian (non-basis) embeddings of every non-empty caption but ``missing``."""
+    table = EmbeddingTable()
+    for text in {text for pair in pairs for text in pair} - set(missing):
+        tokens = tokenize(text)
+        if tokens:
+            table.put(tokens, deterministic_token_embeddings(tokens, dim=8, mode="gaussian"))
+    return table
+
+
+_WORDS = "the grasper hook retracting liver gallbladder , . cystic_duct".split()
+_caption = st.lists(st.sampled_from(_WORDS), max_size=14).map(" ".join)
+
+
+@st.composite
+def _caption_corpora(draw):
+    """Pairs drawn from a small pool of captions, so texts and pairs repeat."""
+    pool = draw(st.lists(_caption, min_size=1, max_size=8))
+    references = [text for text in pool if tokenize(text)] or ["the liver"]
+    pairs = draw(
+        st.lists(
+            st.tuples(st.sampled_from(pool + [""]), st.sampled_from(references)),
+            min_size=1,
+            max_size=25,
+        )
+    )
+    if draw(st.booleans()):
+        pairs += [(ref, ref) for _, ref in pairs[: draw(st.integers(0, 3))]]
+    embeddings = draw(st.sampled_from(["none", "all", "missing-one"]))
+    if embeddings == "none":
+        return pairs, None
+    texts = sorted({text for pair in pairs for text in pair if tokenize(text)})
+    missing = [draw(st.sampled_from(texts))] if embeddings == "missing-one" else []
+    return pairs, _gaussian_table(pairs, missing)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_caption_corpora())
+def test_aggregate_equals_counter_oracle(corpus):
+    pairs, table = corpus
+    expected = _outcome(_aggregate_caption_metrics_oracle, pairs, table)
+    assert _outcome(aggregate_caption_metrics, pairs, table) == expected
+
+
+@pytest.mark.parametrize(
+    "pairs",
+    [
+        pytest.param([("", "the liver"), ("", "a b c d e")], id="empty-candidates"),
+        pytest.param([("a", "a b c"), ("a b", "a b"), ("a b c", "a b c d")], id="under-4-tokens"),
+        pytest.param([("a a a a a b", "a a b a"), ("b b b", "b")], id="clipping"),
+        pytest.param([("the hook cuts", "the hook cuts")] * 4, id="identical"),
+        pytest.param([("liver liver", "liver"), ("the", "gallbladder")], id="one-token-refs"),
+        pytest.param([("x", " ")], id="blank-reference"),
+    ],
+)
+@pytest.mark.parametrize("embedded", ["none", "all", "missing-one"])
+def test_aggregate_equals_counter_oracle_on_edge_cases(pairs, embedded):
+    table = None
+    if embedded != "none":
+        table = _gaussian_table(pairs, [pairs[-1][1]] if embedded == "missing-one" else [])
+    expected = _outcome(_aggregate_caption_metrics_oracle, pairs, table)
+    assert _outcome(aggregate_caption_metrics, pairs, table) == expected
+    if embedded == "missing-one" and isinstance(expected, dict):
+        assert expected["bert_f1"] is None
+
+
+def test_aggregate_equals_counter_oracle_on_a_vocabulary_past_int64_4gram_codes():
+    # Over 70,000 distinct tokens: base-V codes of 4-grams would need V**4 > 2**63.
+    vocabulary = [f"w{i}" for i in range(100_000)]
+    assert len(vocabulary) ** 4 > np.iinfo(np.int64).max
+    rng = random.Random(70_001)
+    rng.shuffle(vocabulary)
+    words = iter(vocabulary)
+    pairs = []
+    for _ in range(3_000):
+        reference = [next(words) for _ in range(rng.randint(1, 50))]
+        candidate = [w for w in reference if rng.random() > 0.15]
+        candidate[rng.randrange(len(candidate) + 1) :] *= rng.randint(1, 2)
+        pairs.append((" ".join(candidate), " ".join(reference)))
+    pairs += pairs[:200]
+    assert len({w for pair in pairs for text in pair for w in text.split()}) > 70_000
+    table = _gaussian_table(pairs[:50])
+    assert _outcome(aggregate_caption_metrics, pairs, None) == _outcome(
+        _aggregate_caption_metrics_oracle, pairs, None
+    )
+    assert _outcome(aggregate_caption_metrics, pairs[:50], table) == _outcome(
+        _aggregate_caption_metrics_oracle, pairs[:50], table
+    )
+
+
+_tokens = st.lists(st.sampled_from("abcd"), max_size=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tokens, _tokens.filter(bool), st.integers(1, 6), st.booleans())
+def test_public_bleu_and_rouge_equal_the_counter_oracle(candidate, reference, max_n, smoothing):
+    orders = range(1, max_n + 1)
+    cand_counts = [ngram_counts(candidate, n) for n in orders]
+    ref_counts = [ngram_counts(reference, n) for n in orders]
+    expected = _bleu_oracle(cand_counts, ref_counts, len(candidate), len(reference), smoothing)
+    assert bleu(candidate, reference, max_n, smoothing) == expected
+    for variant, n in (("r1", 1), ("r2", 2)):
+        expected = _rouge_n_oracle(ngram_counts(candidate, n), ngram_counts(reference, n))
+        assert rouge(candidate, reference, variant) == expected
+    assert rouge(candidate, reference, "rL") == _rouge_l_oracle(candidate, reference)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import random
 
 import pytest
@@ -310,6 +311,18 @@ def test_llm_generate_non_transient_status_after_a_transient_one(vocab, monkeypa
 def test_endpoint_config_needs_at_least_one_attempt(attempts):
     with pytest.raises(ConfigError, match="max_attempts"):
         EndpointConfig(base_url="http://127.0.0.1:1", model="m", max_attempts=attempts)
+
+
+@pytest.mark.parametrize("backoff", [-1, -0.5, math.nan, math.inf, "0.5", None, True])
+def test_endpoint_config_needs_a_finite_nonnegative_backoff(backoff):
+    with pytest.raises(ConfigError, match="backoff_seconds"):
+        EndpointConfig(base_url="http://127.0.0.1:1", model="m", backoff_seconds=backoff)
+
+
+@pytest.mark.parametrize("backoff", [0, 0.25, 3])
+def test_endpoint_config_accepts_a_finite_nonnegative_backoff(backoff):
+    endpoint = EndpointConfig(base_url="http://127.0.0.1:1", model="m", backoff_seconds=backoff)
+    assert endpoint.backoff_seconds == backoff
 
 
 def test_llm_generate_missing_credential(vocab, monkeypatch):
