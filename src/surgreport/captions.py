@@ -22,7 +22,10 @@ docs/caption_grammar.md.
 
 from __future__ import annotations
 
+import re
+from collections.abc import Iterable
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain, groupby
 from operator import attrgetter
 from pathlib import Path
@@ -59,7 +62,10 @@ VERB_FORMS: dict[str, VerbForms] = {
 
 NO_INSTRUMENT_CLAUSE = "no instrument is active"
 
+# The characters a name may not be followed by; ``_name_slot`` writes the
+# same set as the class [a-z0-9_\-].
 _NAME_CHARS = set("abcdefghijklmnopqrstuvwxyz0123456789_-")
+_DIGITS = set("0123456789")
 
 
 @dataclass(frozen=True)
@@ -182,33 +188,129 @@ def synthesize_clip_caption(
     return ClipCaption(clip.video_id, clip.start_frame, segments, render_clip_text(segments, vocab))
 
 
-class _ClipCaptionParser:
-    """Cursor parser for clip-caption text; errors carry character offsets."""
+def _by_length(pairs: Iterable[tuple[str, int]]) -> list[tuple[str, int]]:
+    """(name, index) pairs, longest name first: the order names are tried in."""
+    return sorted(pairs, key=lambda item: -len(item[0]))
 
-    def __init__(self, text: str, vocab: Vocabulary):
+
+def _name_slot(group: str, names: list[tuple[str, int]]) -> str:
+    """A pattern that takes the first of ``names`` that ends at a name boundary.
+
+    Lookahead then backreference makes the choice atomic, as the walker's
+    is: a later mismatch never backtracks into a shorter name.
+    """
+    alternation = "|".join(f"{re.escape(name)}(?![a-z0-9_\\-])" for name, _ in names)
+    # No names: a slot that matches nothing, as the walker's empty table.
+    alternation = alternation or "(?!)"
+    return f"(?=(?P<{group}>{alternation}))(?P={group})"
+
+
+class _Grammar:
+    """The clip-caption grammar of one vocabulary: name tables and compiled patterns.
+
+    ``match`` reads a well-formed caption with the patterns alone and
+    returns None on any violation; ``_Walker`` then locates and words it
+    from the same tables.
+    """
+
+    def __init__(self, vocab: Vocabulary):
+        self.instruments = _by_length((name, i) for i, name in enumerate(vocab.instruments))
+        self.targets = _by_length((name, i) for i, name in enumerate(vocab.targets))
+        self.phases = _by_length((name, i) for i, name in enumerate(vocab.phases))
+        verbs = [
+            (VERB_FORMS[name], i)
+            for i, name in enumerate(vocab.verbs)
+            if name != NULL_VERB_NAME and name in VERB_FORMS
+        ]
+        self.present_verbs = _by_length((forms.present, i) for forms, i in verbs)
+        self.base_verbs = _by_length((forms.base, i) for forms, i in verbs)
+        self.header = re.compile(
+            r"(?P<connective>First|Then), during the (?P<duration>[0-9]+)-second "
+            f"{_name_slot('phase', self.phases)} phase, "
+        )
+        self.clause = re.compile(
+            f"(?P<clause>{NO_INSTRUMENT_CLAUSE}"
+            f"|the {_name_slot('instrument', self.instruments)} "
+            "(?:is present|remains present"
+            f"|(?:continues to {_name_slot('base', self.base_verbs)}"
+            f"|{_name_slot('present', self.present_verbs)})"
+            f"(?: the {_name_slot('target', self.targets)})?))"
+            r"(?P<end> while |\.)"
+        )
+        self._index = {
+            "phase": dict(self.phases),
+            "instrument": dict(self.instruments),
+            "base": dict(self.base_verbs),
+            "present": dict(self.present_verbs),
+            "target": dict(self.targets),
+        }
+        # One Triplet per distinct clause text; None for the no-instrument clause.
+        self._triplets: dict[str, Triplet | None] = {NO_INSTRUMENT_CLAUSE: None}
+
+    def _triplet(self, clause: re.Match) -> Triplet | None:
+        """The Triplet of a clause text not seen before."""
+        # An absent slot's group is None, which no index holds.
+        instrument, base, present, target = clause.group("instrument", "base", "present", "target")
+        index = self._index
+        triplet = Triplet(
+            index["instrument"][instrument],
+            index["base"].get(base, index["present"].get(present)),
+            index["target"].get(target),
+        )
+        return self._triplets.setdefault(clause["clause"], triplet)
+
+    def match(self, text: str) -> list[PhaseSegment] | None:
+        triplets = self._triplets
+        segments = []
+        pos, connective = 0, "First"
+        while True:
+            header = self.header.match(text, pos)
+            if header is None or header["connective"] != connective:
+                return None
+            pos = header.end()
+            actions = []
+            while clause := self.clause.match(text, pos):
+                key = clause["clause"]
+                actions.append(triplets[key] if key in triplets else self._triplet(clause))
+                pos = clause.end()
+                if clause["end"] == ".":
+                    break
+            else:
+                return None
+            if None in actions:
+                if len(actions) > 1:
+                    return None
+                actions = []
+            try:
+                segment = PhaseSegment(
+                    self._index["phase"][header["phase"]], int(header["duration"]), tuple(actions)
+                )
+            except ValueError:  # a duration of 0 or past int()'s digit limit, or a repeated action
+                return None
+            segments.append(segment)
+            if pos == len(text):
+                return segments
+            if text[pos] != " ":
+                return None
+            pos, connective = pos + 1, "Then"
+
+
+@lru_cache(maxsize=16)
+def _grammar(vocab: Vocabulary) -> _Grammar:
+    return _Grammar(vocab)
+
+
+class _Walker:
+    """Cursor parser for clip-caption text; errors carry character offsets.
+
+    It reads the grammar's tables one literal and one name at a time, and
+    runs only on text the compiled patterns reject, to find the violation.
+    """
+
+    def __init__(self, text: str, grammar: _Grammar):
         self.text = text
         self.pos = 0
-        self.vocab = vocab
-        self.instruments = self._by_length(vocab.instruments)
-        self.targets = self._by_length(vocab.targets)
-        self.phases = self._by_length(vocab.phases)
-        self.present_verbs = self._verb_map("present")
-        self.base_verbs = self._verb_map("base")
-
-    @staticmethod
-    def _by_length(names: tuple[str, ...]) -> list[tuple[str, int]]:
-        indexed = [(name, i) for i, name in enumerate(names)]
-        indexed.sort(key=lambda item: -len(item[0]))
-        return indexed
-
-    def _verb_map(self, slot: str) -> list[tuple[str, int]]:
-        forms = []
-        for i, name in enumerate(self.vocab.verbs):
-            if name == NULL_VERB_NAME or name not in VERB_FORMS:
-                continue
-            forms.append((getattr(VERB_FORMS[name], slot), i))
-        forms.sort(key=lambda item: -len(item[0]))
-        return forms
+        self.grammar = grammar
 
     def fail(self, message: str) -> NoReturn:
         raise GrammarError(message, self.pos)
@@ -239,11 +341,15 @@ class _ClipCaptionParser:
 
     def take_duration(self) -> int:
         start = self.pos
-        while not self.at_end() and self.text[self.pos].isdigit():
+        while not self.at_end() and self.text[self.pos] in _DIGITS:
             self.pos += 1
         if self.pos == start:
             self.fail("expected a duration in seconds")
-        value = int(self.text[start : self.pos])
+        try:
+            value = int(self.text[start : self.pos])
+        except ValueError:
+            self.pos = start
+            self.fail("duration has too many digits")
         if value < 1:
             self.pos = start
             self.fail("duration must be positive")
@@ -253,21 +359,21 @@ class _ClipCaptionParser:
         if self.take(NO_INSTRUMENT_CLAUSE):
             return None
         self.expect("the ")
-        instrument = self.take_name(self.instruments)
+        instrument = self.take_name(self.grammar.instruments)
         if instrument is None:
             self.fail("expected an instrument name")
         self.expect(" ")
         if self.take("is present") or self.take("remains present"):
             return Triplet(instrument)
         if self.take("continues to "):
-            verb = self.take_name(self.base_verbs)
+            verb = self.take_name(self.grammar.base_verbs)
         else:
-            verb = self.take_name(self.present_verbs)
+            verb = self.take_name(self.grammar.present_verbs)
         if verb is None:
             self.fail("expected a verb")
         target = None
         if self.take(" the "):
-            target = self.take_name(self.targets)
+            target = self.take_name(self.grammar.targets)
             if target is None:
                 self.fail("expected a target name")
         return Triplet(instrument, verb, target)
@@ -277,7 +383,7 @@ class _ClipCaptionParser:
         self.expect(", during the ")
         duration = self.take_duration()
         self.expect("-second ")
-        phase = self.take_name(self.phases)
+        phase = self.take_name(self.grammar.phases)
         if phase is None:
             self.fail("expected a phase name")
         self.expect(" phase, ")
@@ -307,9 +413,15 @@ def parse_clip_caption(text: str, vocab: Vocabulary) -> list[PhaseSegment]:
     """Recover the phase segments encoded in clip-caption text.
 
     Accepts exactly the grammar emitted by render_clip_text; violations
-    raise GrammarError with the failing character offset.
+    raise GrammarError with the failing character offset. The grammar is
+    compiled once per vocabulary, on its first parse.
     """
-    return _ClipCaptionParser(text, vocab).parse()
+    grammar = _grammar(vocab)
+    segments = grammar.match(text)
+    if segments is None:
+        _Walker(text, grammar).parse()
+        raise AssertionError(f"the walker accepts a caption the patterns reject: {text!r}")
+    return segments
 
 
 def write_frame_captions(path: str | Path, captions: list[FrameCaption]) -> int:

@@ -310,7 +310,16 @@ def cmd_report(config: PipelineConfig, videos: list[str] | None = None) -> list[
         raise ConfigError(f"clip captions not found: {clip_path} (run preprocess first)")
     captions = read_clip_captions(clip_path, vocab)
     by_video: dict[str, list] = {}
-    for caption in captions:
+    for index, caption in enumerate(captions):
+        # preprocess writes clips of exactly windowing.size seconds; merge_timeline
+        # expands each second, so a longer caption is rejected before it.
+        if caption.size > config.windowing.size:
+            raise RecordError(
+                f"clip caption durations sum to {caption.size} seconds, more than "
+                f"windowing.size {config.windowing.size}",
+                str(clip_path),
+                record_line(clip_path, index),
+            )
         by_video.setdefault(caption.video_id, []).append(caption)
     if videos:
         _check_videos(videos, by_video)
@@ -318,10 +327,8 @@ def cmd_report(config: PipelineConfig, videos: list[str] | None = None) -> list[
 
     report_dir = config.output_dir() / "reports"
     outputs: list[Path] = []
-    timelines = {}
-    for video_id, clips in sorted(selected.items()):
+    for _, clips in sorted(selected.items()):
         timeline = merge_timeline(clips)
-        timelines[video_id] = timeline
         outputs.append(write_report(report_dir, offline_report(timeline, vocab), vocab))
 
     endpoint = config.report.endpoint

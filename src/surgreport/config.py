@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
 import yaml
@@ -104,6 +104,13 @@ def _build(cls, data: dict, name: str):
     unknown = set(data) - known
     if unknown:
         raise ConfigError(f"unknown keys in config section {name!r}: {sorted(unknown)}")
+    missing = [
+        f.name
+        for f in fields(cls)
+        if f.default is MISSING and f.default_factory is MISSING and f.name not in data
+    ]
+    if missing:
+        raise ConfigError(f"missing required keys in config section {name!r}: {missing}")
     return cls(**data)
 
 

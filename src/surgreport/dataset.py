@@ -139,13 +139,29 @@ def parse_annotations(
     """
     text = source.decode("utf-8") if isinstance(source, bytes) else source
     frames_by_video: dict[str, dict[int, FrameAnnotation]] = {}
+    # One Triplet per distinct [instrument, verb, target] list in this source.
+    # Only a list is looked up: a dict or a string whose tuple() equals a key
+    # must still reach _parse_triplet and be rejected there.
+    parsed: dict[tuple, Triplet] = {}
+
+    def triplet_of(raw: object) -> Triplet:
+        if type(raw) is not list or len(raw) != 3:
+            return _parse_triplet(raw, vocab)
+        key = tuple(raw)
+        try:
+            return parsed[key]
+        except KeyError:
+            return parsed.setdefault(key, _parse_triplet(raw, vocab))
+        except TypeError:  # an unhashable component, which names no label
+            return _parse_triplet(raw, vocab)
+
     for lineno, obj in iter_jsonl(text, source_name, _ANNOTATION_FIELDS):
         video_id, frame_index = obj["video_id"], obj["frame"]
         if not video_id:
             raise RecordError("video_id must be a non-empty string", source_name, lineno)
         try:
             phase = vocab.index_of("phases", obj["phase"])
-            triplets = tuple(_parse_triplet(raw, vocab) for raw in obj["triplets"])
+            triplets = tuple(map(triplet_of, obj["triplets"]))
         except KeyError as exc:
             raise RecordError(str(exc).strip('"'), source_name, lineno) from None
         frames = frames_by_video.setdefault(video_id, {})

@@ -7,7 +7,11 @@ merges maximal same-phase runs, so every reported duration counts unique
 seconds of video.
 
 Reports can be produced offline by a deterministic renderer or remotely by
-a chat-completion endpoint fed the standard prompt.
+a chat-completion endpoint fed the standard prompt. The endpoint client is
+the standard library's ``urllib.request``, loaded on the first endpoint
+request. It follows no redirect, so a 3xx ends as an EndpointStatusError
+and the bearer token never reaches another URL, and it honors the
+``HTTP_PROXY``/``HTTPS_PROXY``/``NO_PROXY`` environment variables.
 """
 
 from __future__ import annotations
@@ -208,17 +212,42 @@ def offline_report(timeline: MergedTimeline, vocab: Vocabulary) -> SurgicalRepor
     )
 
 
+def _opener():
+    """An HTTP(S) opener that follows no redirect and honors the proxy variables.
+
+    With no redirect handler a 3xx raises HTTPError with its status.
+    ``ProxyHandler`` reads the proxy variables when it is built, so each
+    call sees the current environment. A URL of another scheme (``file:``,
+    ``data:``, ``ftp:``) fails in ``UnknownHandler`` as a URLError.
+    """
+    import urllib.request
+
+    opener = urllib.request.OpenerDirector()
+    for handler in (
+        urllib.request.ProxyHandler(),
+        urllib.request.UnknownHandler(),
+        urllib.request.HTTPHandler(),
+        urllib.request.HTTPSHandler(),
+        urllib.request.HTTPDefaultErrorHandler(),
+        urllib.request.HTTPErrorProcessor(),
+    ):
+        opener.add_handler(handler)
+    return opener
+
+
 def llm_generate(request: PromptRequest, endpoint: EndpointConfig) -> SurgicalReport:
     """Generate the narrative with a remote chat-completion endpoint.
 
     Transient failures (network errors, 429, 5xx) are retried with
-    exponential backoff for up to max_attempts total attempts. The
-    credential is read from the configured environment variable and never
-    logged.
+    exponential backoff for up to max_attempts total attempts; any other
+    status, a 3xx included, fails at once. The credential is read from the
+    configured environment variable and never logged.
     """
-    # Imported here: requests and its dependencies are costly to load, and
-    # only endpoint reports use them.
-    import requests
+    # Imported here: only endpoint reports use them, and the command-line
+    # entry point should not pay for loading the HTTP stack.
+    import http.client
+    import urllib.error
+    import urllib.request
 
     credential = os.environ.get(endpoint.credential_env)
     if not credential:
@@ -231,7 +260,9 @@ def llm_generate(request: PromptRequest, endpoint: EndpointConfig) -> SurgicalRe
         "temperature": endpoint.temperature,
         "max_tokens": endpoint.max_tokens,
     }
+    headers = {"Authorization": f"Bearer {credential}", "Content-Type": "application/json"}
     url = endpoint.base_url.rstrip("/") + "/chat/completions"
+    opener = _opener()
     # Each attempt that does not succeed binds ``error``; the last one is raised.
     for attempt in range(1, endpoint.max_attempts + 1):
         if attempt > 1:
@@ -241,31 +272,34 @@ def llm_generate(request: PromptRequest, endpoint: EndpointConfig) -> SurgicalRe
             url, attempt, endpoint.max_attempts, len(request.clips),
         )
         try:
-            response = requests.post(
-                url,
-                json=payload,
-                headers={"Authorization": f"Bearer {credential}"},
-                timeout=endpoint.timeout,
-            )
-        except requests.RequestException as exc:
+            # A NaN or infinite number, or a URL without a scheme, raises ValueError.
+            body = json.dumps(payload, allow_nan=False).encode("utf-8")
+            post = urllib.request.Request(url, data=body, headers=headers, method="POST")
+            with opener.open(post, timeout=endpoint.timeout) as response:
+                status, answer = response.status, response.read()
+        except urllib.error.HTTPError as exc:
+            exc.close()
+            status = exc.code
+        except (OSError, http.client.HTTPException, ValueError) as exc:
             log.warning("transport failure on attempt %d: %s", attempt, type(exc).__name__)
             error = TransportError(f"request failed after {endpoint.max_attempts} attempts: {exc}")
             continue
-        if response.status_code == 200:
+        if status == 200:
             break
-        log.warning("endpoint status %d on attempt %d", response.status_code, attempt)
-        error = EndpointStatusError(
-            f"endpoint answered status {response.status_code}", response.status_code
-        )
-        if response.status_code not in _TRANSIENT_STATUSES:
+        log.warning("endpoint status %d on attempt %d", status, attempt)
+        error = EndpointStatusError(f"endpoint answered status {status}", status)
+        if status not in _TRANSIENT_STATUSES:
             raise error
     else:
         raise error
 
     try:
-        narrative = response.json()["choices"][0]["message"]["content"]
-    except (ValueError, KeyError, IndexError) as exc:
-        raise EndpointStatusError(f"malformed endpoint response: {exc}", response.status_code)
+        narrative = json.loads(answer)["choices"][0]["message"]["content"]
+    except (ValueError, KeyError, IndexError, TypeError) as exc:
+        raise EndpointStatusError(f"malformed endpoint response: {exc}", status)
+    if type(narrative) is not str:
+        problem = f"content is {type(narrative).__name__}, not a string"
+        raise EndpointStatusError(f"malformed endpoint response: {problem}", status)
     log.info("report response: %d characters", len(narrative))
     return SurgicalReport(
         video_id=request.clips[0].video_id,

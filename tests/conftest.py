@@ -114,26 +114,38 @@ class StubChatServer:
     """Local chat-completion endpoint that records requests.
 
     The first requests are answered with ``statuses`` in order, every later
-    one with ``status``.
+    one with ``status``. ``body`` replaces the completion JSON of every
+    answer, and ``headers`` are added to each. The request target of each
+    request (a full URL when the stub serves as a proxy) goes to ``paths``
+    and its body bytes to ``bodies``.
     """
 
-    def __init__(self, completion="The procedure went well.", status=200, statuses=()):
+    def __init__(
+        self, completion="The procedure went well.", status=200, statuses=(), body=None, headers=()
+    ):
         self.requests: list[dict] = []
         pending = list(statuses)
         self.auth_headers: list[str] = []
+        self.paths: list[str] = []
+        self.bodies: list[bytes] = []
         stub = self
+        if body is None:
+            body = json.dumps({"choices": [{"message": {"content": completion}}]}).encode("utf-8")
+        headers = dict(headers)
 
         class Handler(http.server.BaseHTTPRequestHandler):
             def do_POST(self):
                 length = int(self.headers.get("Content-Length", 0))
-                stub.requests.append(json.loads(self.rfile.read(length)))
+                raw = self.rfile.read(length)
+                stub.bodies.append(raw)
+                stub.paths.append(self.path)
+                stub.requests.append(json.loads(raw))
                 stub.auth_headers.append(self.headers.get("Authorization", ""))
-                body = json.dumps(
-                    {"choices": [{"message": {"content": completion}}]}
-                ).encode("utf-8")
                 self.send_response(pending.pop(0) if pending else status)
                 self.send_header("Content-Type", "application/json")
                 self.send_header("Content-Length", str(len(body)))
+                for name, value in headers.items():
+                    self.send_header(name, value)
                 self.end_headers()
                 self.wfile.write(body)
 

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import random
+from typing import NoReturn
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from surgreport.captions import (
+    NO_INSTRUMENT_CLAUSE,
     ClipCaption,
     PhaseSegment,
     VERB_FORMS,
@@ -22,7 +24,7 @@ from surgreport.captions import (
 )
 from surgreport.dataset import FrameAnnotation, Triplet
 from surgreport.errors import GrammarError
-from surgreport.vocab import default_vocabulary
+from surgreport.vocab import NULL_VERB_NAME, Vocabulary, default_vocabulary
 from surgreport.windowing import ClipWindow
 
 from conftest import frame, triplet
@@ -338,3 +340,285 @@ def test_caption_file_round_trip(tmp_path, vocab):
     loaded = read_clip_captions(cpath, vocab)
     assert loaded == [clip_caption]
     assert read_clip_captions(cpath)[0].segments == ()
+
+
+# The cursor parser that read every caption before the grammar was compiled,
+# kept verbatim (only its entry point renamed) as the oracle of the new one.
+_NAME_CHARS = set("abcdefghijklmnopqrstuvwxyz0123456789_-")
+
+
+class _ClipCaptionParser:
+    """Cursor parser for clip-caption text; errors carry character offsets."""
+
+    def __init__(self, text: str, vocab: Vocabulary):
+        self.text = text
+        self.pos = 0
+        self.vocab = vocab
+        self.instruments = self._by_length(vocab.instruments)
+        self.targets = self._by_length(vocab.targets)
+        self.phases = self._by_length(vocab.phases)
+        self.present_verbs = self._verb_map("present")
+        self.base_verbs = self._verb_map("base")
+
+    @staticmethod
+    def _by_length(names: tuple[str, ...]) -> list[tuple[str, int]]:
+        indexed = [(name, i) for i, name in enumerate(names)]
+        indexed.sort(key=lambda item: -len(item[0]))
+        return indexed
+
+    def _verb_map(self, slot: str) -> list[tuple[str, int]]:
+        forms = []
+        for i, name in enumerate(self.vocab.verbs):
+            if name == NULL_VERB_NAME or name not in VERB_FORMS:
+                continue
+            forms.append((getattr(VERB_FORMS[name], slot), i))
+        forms.sort(key=lambda item: -len(item[0]))
+        return forms
+
+    def fail(self, message: str) -> NoReturn:
+        raise GrammarError(message, self.pos)
+
+    def at_end(self) -> bool:
+        return self.pos >= len(self.text)
+
+    def take(self, literal: str) -> bool:
+        if self.text.startswith(literal, self.pos):
+            self.pos += len(literal)
+            return True
+        return False
+
+    def expect(self, literal: str) -> None:
+        if not self.take(literal):
+            self.fail(f"expected {literal!r}")
+
+    def _boundary_ok(self, end: int) -> bool:
+        return end >= len(self.text) or self.text[end] not in _NAME_CHARS
+
+    def take_name(self, candidates: list[tuple[str, int]]) -> int | None:
+        for name, index in candidates:
+            end = self.pos + len(name)
+            if self.text.startswith(name, self.pos) and self._boundary_ok(end):
+                self.pos = end
+                return index
+        return None
+
+    def take_duration(self) -> int:
+        start = self.pos
+        while not self.at_end() and self.text[self.pos].isdigit():
+            self.pos += 1
+        if self.pos == start:
+            self.fail("expected a duration in seconds")
+        value = int(self.text[start : self.pos])
+        if value < 1:
+            self.pos = start
+            self.fail("duration must be positive")
+        return value
+
+    def parse_clause(self) -> Triplet | None:
+        if self.take(NO_INSTRUMENT_CLAUSE):
+            return None
+        self.expect("the ")
+        instrument = self.take_name(self.instruments)
+        if instrument is None:
+            self.fail("expected an instrument name")
+        self.expect(" ")
+        if self.take("is present") or self.take("remains present"):
+            return Triplet(instrument)
+        if self.take("continues to "):
+            verb = self.take_name(self.base_verbs)
+        else:
+            verb = self.take_name(self.present_verbs)
+        if verb is None:
+            self.fail("expected a verb")
+        target = None
+        if self.take(" the "):
+            target = self.take_name(self.targets)
+            if target is None:
+                self.fail("expected a target name")
+        return Triplet(instrument, verb, target)
+
+    def parse_segment(self, first: bool) -> PhaseSegment:
+        self.expect("First" if first else "Then")
+        self.expect(", during the ")
+        duration = self.take_duration()
+        self.expect("-second ")
+        phase = self.take_name(self.phases)
+        if phase is None:
+            self.fail("expected a phase name")
+        self.expect(" phase, ")
+        clauses = [self.parse_clause()]
+        while self.take(" while "):
+            clauses.append(self.parse_clause())
+        self.expect(".")
+        if None in clauses:
+            if len(clauses) > 1:
+                self.fail("the no-instrument clause cannot be combined with actions")
+            actions: tuple[Triplet, ...] = ()
+        else:
+            actions = tuple(clauses)  # type: ignore[arg-type]
+            if len(set(actions)) != len(actions):
+                self.fail("duplicate action within one segment")
+        return PhaseSegment(phase, duration, actions)
+
+    def parse(self) -> list[PhaseSegment]:
+        segments = [self.parse_segment(first=True)]
+        while not self.at_end():
+            self.expect(" ")
+            segments.append(self.parse_segment(first=False))
+        return segments
+
+
+def _parse_clip_caption_oracle(text: str, vocab: Vocabulary) -> list[PhaseSegment]:
+    """Recover the phase segments encoded in clip-caption text.
+
+    Accepts exactly the grammar emitted by render_clip_text; violations
+    raise GrammarError with the failing character offset.
+    """
+    return _ClipCaptionParser(text, vocab).parse()
+
+
+def _outcome(parse, text, vocab):
+    try:
+        return parse(text, vocab)
+    except GrammarError as exc:
+        return ("GrammarError", str(exc), exc.offset)
+    except ValueError:
+        return ("ValueError",)
+
+
+def _assert_parsers_agree(text, vocab):
+    """The new parser gives the oracle's segments or error, except at a non-ASCII digit.
+
+    The oracle reads any ``str.isdigit`` character into a duration: it then
+    raises ValueError (``²``) or reads a wrong number (``٣`` as 3). The new
+    parser takes ASCII digits only, so it stops at the first such character
+    with a GrammarError wherever the oracle got past it.
+    """
+    expected = _outcome(_parse_clip_caption_oracle, text, vocab)
+    got = _outcome(parse_clip_caption, text, vocab)
+    odd = next((i for i, c in enumerate(text) if c.isdigit() and not c.isascii()), None)
+    passed_odd = odd is not None and (
+        isinstance(expected, list) or expected[0] == "ValueError" or expected[2] > odd
+    )
+    if passed_odd or expected == ("ValueError",):
+        assert got[0] == "GrammarError" and got[2] == odd, (text, expected, got)
+    else:
+        assert got == expected, text
+
+
+# "²" and "٣" pass str.isdigit but are not ASCII digits.
+_MUTATION_ALPHABET = "aehilnorstw .,-_0129"
+_ODD_DIGITS = "\u00b2\u0663"
+
+
+@st.composite
+def _mutated(draw, text):
+    """``text`` unchanged, or with one character inserted, deleted or replaced."""
+    kind = draw(st.sampled_from(["none", "insert", "delete", "replace"]))
+    if kind == "none" or not text:
+        return text
+    digits = [i for i, c in enumerate(text) if c.isdigit()]
+    where = draw(st.one_of(st.integers(0, len(text) - 1), st.sampled_from(digits)))
+    char = draw(
+        st.one_of(
+            st.sampled_from(_ODD_DIGITS), st.sampled_from(_MUTATION_ALPHABET), st.sampled_from(text)
+        )
+    )
+    if kind == "insert":
+        return text[:where] + char + text[where:]
+    if kind == "delete":
+        return text[:where] + text[where + 1 :]
+    return text[:where] + char + text[where + 1 :]
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data(), segments=_segment_lists())
+def test_parser_matches_oracle_on_rendered_and_mutated_captions(data, segments):
+    vocab = default_vocabulary()
+    text = data.draw(_mutated(render_clip_text(segments, vocab)))
+    _assert_parsers_agree(text, vocab)
+
+
+# Names that are prefixes of each other: the longer one fits and the text
+# fails after it ("prep phase" in "prep phase phase"), or it does not end at
+# a name boundary and the shorter one fits ("hook hold" in "hook holds",
+# "x whil" in "x while"). Names holding regex metacharacters, and names that
+# a name character may follow ("x" / "x-1").
+_TRICKY_VOCABULARY = Vocabulary(
+    instruments=("hook", "hook hold", "a.b", "a+", "(a)|b", "c\\d"),
+    verbs=(
+        "cut", "clip", "grasp", "retract", "dissect", "coagulate", "aspirate", "irrigate",
+        "pack", NULL_VERB_NAME,
+    ),
+    targets=(
+        "x", "x-1", "x y", "x*", "[x]", "x whil", "x{2}", "^x$", "t.t", "t", "tt", "liver",
+        "liver bed", "gallbladder", "null_target",
+    ),
+    phases=("prep", "prep phase", "p.p", "p+", "phase", "(p)", "p|q"),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data(), segments=_segment_lists())
+def test_parser_matches_oracle_on_a_tricky_vocabulary(data, segments):
+    text = data.draw(_mutated(render_clip_text(segments, _TRICKY_VOCABULARY)))
+    _assert_parsers_agree(text, _TRICKY_VOCABULARY)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "First, during the 3-second prep phase phase, the hook is present.",
+        "First, during the 3-second prep phase, the hook holds the x.",
+        "First, during the 3-second prep phase, the hook hold holds the x while the a+ cuts.",
+        "First, during the 3-second prep phase, the hook holdsx is present.",
+        "First, during the 3-second prep phase, the a+ cuts the x while the hook is present.",
+        "First, during the 3-second prep phase, the a+ cuts the x whil while the hook is present.",
+        "First, during the 3-second p.p phase, the aXb is present.",
+        "First, during the 3-second pXp phase, the a.b is present.",
+        "First, during the 3-second p+ phase, the a+ cuts the x-1.",
+        "First, during the 3-second p+ phase, the a+ cuts the x-.",
+        "First, during the 3-second (p) phase, the (a)|b clips the x{2} while the c\\d packs the ^x$.",
+        "First, during the 3-second (p) phase, the b clips the xx.",
+        "First, during the 3-second phase phase, the a+ continues to cut the liver bed.",
+        "First, during the 3-second phase phase, the a+ continues to cut the liver bedx.",
+    ],
+)
+def test_tricky_vocabulary_parses_as_the_oracle_does(text):
+    _assert_parsers_agree(text, _TRICKY_VOCABULARY)
+
+
+@pytest.mark.parametrize(
+    "duration, offset, message",
+    [
+        ("\u00b2", 18, "expected a duration in seconds"),
+        ("1\u00b2", 19, "expected '-second '"),
+        ("\u0663", 18, "expected a duration in seconds"),
+        ("2\u0663", 19, "expected '-second '"),
+        ("0", 18, "duration must be positive"),
+        pytest.param("9" * 4301, 18, "duration has too many digits", id="4301-digits"),
+    ],
+)
+def test_duration_is_ascii_digits_that_int_converts(vocab, duration, offset, message):
+    text = f"First, during the {duration}-second preparation phase, {NO_INSTRUMENT_CLAUSE}."
+    with pytest.raises(GrammarError) as exc:
+        parse_clip_caption(text, vocab)
+    assert (exc.value.offset, str(exc.value)) == (offset, f"offset {offset}: {message}")
+
+
+def test_duration_with_leading_zeros_and_4300_digits(vocab):
+    for duration in ("007", "9" * 4300):
+        text = f"First, during the {duration}-second preparation phase, {NO_INSTRUMENT_CLAUSE}."
+        assert parse_clip_caption(text, vocab) == _parse_clip_caption_oracle(text, vocab)
+        assert parse_clip_caption(text, vocab)[0].duration_seconds == int(duration)
+
+
+def test_each_distinct_clause_is_one_triplet(vocab):
+    text = (
+        "First, during the 2-second preparation phase, the hook is present. "
+        "Then, during the 3-second clipping-and-cutting phase, the hook remains present."
+    )
+    first, then = parse_clip_caption(text, vocab)
+    assert first.actions == then.actions
+    again = parse_clip_caption(text, vocab)
+    assert again[0].actions[0] is first.actions[0]

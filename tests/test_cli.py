@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import ast
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -504,6 +506,24 @@ def test_importing_the_cli_does_not_load_requests():
     assert result.stdout.strip() == "False"
 
 
+def test_declared_dependencies_are_the_third_party_imports():
+    tomllib = pytest.importorskip("tomllib")  # in the standard library from Python 3.11
+    root = Path(__file__).resolve().parents[1]
+    imported = set()
+    for path in (root / "src" / "surgreport").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    third_party = imported - set(sys.stdlib_module_names) - {"surgreport"}
+    distributions = {"yaml": "pyyaml"}  # import name -> distribution name
+    declared = tomllib.loads((root / "pyproject.toml").read_text(encoding="utf-8"))
+    names = {re.split(r"[\s<>=!~\[;]", dep, maxsplit=1)[0].lower()
+             for dep in declared["project"]["dependencies"]}
+    assert {distributions.get(name, name) for name in third_party} == names
+
+
 # Line 3 of each record file is replaced by the bad record. Clip captions are
 # parsed against the grammar only by `report`; `evaluate` reads the others.
 # (file, command, bad record, message)
@@ -552,6 +572,37 @@ BAD_RECORDS = {
         "clip_captions", "report",
         '{"video_id": "VID01", "start_frame": 16, "text": "Later, it ends."}',
         "offset 0: expected 'First'",
+    ),
+    "clip-captions-superscript-duration": (
+        "clip_captions", "report",
+        '{"video_id": "VID01", "start_frame": 16, '
+        '"text": "First, during the \u00b2-second preparation phase, no instrument is active."}',
+        "offset 18: expected a duration in seconds",
+    ),
+    "clip-captions-arabic-indic-duration": (
+        "clip_captions", "report",
+        '{"video_id": "VID01", "start_frame": 16, '
+        '"text": "First, during the 3\u0663-second preparation phase, no instrument is active."}',
+        "offset 19: expected '-second '",
+    ),
+    "clip-captions-too-many-digits": (
+        "clip_captions", "report",
+        '{"video_id": "VID01", "start_frame": 16, '
+        f'"text": "First, during the {"9" * 4301}-second preparation phase, no instrument is active."}}',
+        "offset 18: duration has too many digits",
+    ),
+    "clip-captions-longer-than-a-clip": (
+        "clip_captions", "report",
+        '{"video_id": "VID01", "start_frame": 16, '
+        '"text": "First, during the 1000000000000-second preparation phase, no instrument is active."}',
+        "clip caption durations sum to 1000000000000 seconds, more than windowing.size 32",
+    ),
+    "clip-captions-segments-longer-than-a-clip": (
+        "clip_captions", "report",
+        '{"video_id": "VID01", "start_frame": 16, '
+        '"text": "First, during the 20-second preparation phase, no instrument is active. '
+        'Then, during the 13-second clipping-and-cutting phase, no instrument is active."}',
+        "clip caption durations sum to 33 seconds, more than windowing.size 32",
     ),
     "embeddings-missing-field": (
         "embeddings", "evaluate",
@@ -727,6 +778,16 @@ def test_evaluate_rejects_a_repeated_caption_key(workspace, capsys, kind, side):
         ),
         pytest.param(
             {"endpoint": "abc"}, "report.endpoint must be a mapping, got 'abc'", id="endpoint-str"
+        ),
+        pytest.param(
+            {"offline": False, "endpoint": {"base_url": "http://127.0.0.1:9"}},
+            "missing required keys in config section 'report.endpoint': ['model']",
+            id="endpoint-without-model",
+        ),
+        pytest.param(
+            {"offline": False, "endpoint": {"model": "m", "timeout": 5}},
+            "missing required keys in config section 'report.endpoint': ['base_url']",
+            id="endpoint-without-base-url",
         ),
         *[
             pytest.param(

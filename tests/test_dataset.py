@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -18,6 +19,8 @@ from surgreport.dataset import (
     split_dataset,
 )
 from surgreport.errors import AnnotationError, RecordError
+from surgreport.jsonl import iter_jsonl
+from surgreport.vocab import NULL_TARGET_NAME, NULL_TOKEN, NULL_VERB_NAME, Vocabulary
 
 from conftest import frame, make_corpus
 
@@ -230,3 +233,140 @@ def test_parse_bad_field_reports_line(vocab, field, bad, message):
 
 def test_annotation_error_is_record_error():
     assert AnnotationError is RecordError
+
+
+# The parser before triplets were parsed once per distinct list, kept
+# verbatim (only its entry point renamed) as the oracle of the new one.
+def _component_index(
+    raw: object, category: str, null_name: str, vocab: Vocabulary
+) -> int | None:
+    if raw is None or raw in (NULL_TOKEN, null_name):
+        return None
+    return vocab.index_of(category, raw)
+
+
+def _parse_triplet(raw: object, vocab: Vocabulary) -> Triplet:
+    if not isinstance(raw, (list, tuple)) or len(raw) != 3:
+        raise KeyError(f"triplet must be a [instrument, verb, target] list, got {raw!r}")
+    instrument_name, verb_raw, target_raw = raw
+    instrument = vocab.index_of("instruments", instrument_name)
+    verb = _component_index(verb_raw, "verbs", NULL_VERB_NAME, vocab)
+    target = _component_index(target_raw, "targets", NULL_TARGET_NAME, vocab)
+    if verb is None and target is not None:
+        raise KeyError("triplet has a target but a null verb")
+    return Triplet(instrument=instrument, verb=verb, target=target)
+
+
+_ANNOTATION_FIELDS = {"video_id": str, "frame": int, "phase": str, "triplets": list}
+
+
+def _parse_annotations_oracle(
+    source: bytes | str, vocab: Vocabulary, source_name: str = "<annotations>"
+) -> list[VideoRecord]:
+    """Parse line-delimited annotation records into validated video records.
+
+    Records may arrive in any order; frames are sorted per video. Malformed
+    records, unknown label names, and duplicate frame indices raise
+    RecordError with the offending line number.
+    """
+    text = source.decode("utf-8") if isinstance(source, bytes) else source
+    frames_by_video: dict[str, dict[int, FrameAnnotation]] = {}
+    for lineno, obj in iter_jsonl(text, source_name, _ANNOTATION_FIELDS):
+        video_id, frame_index = obj["video_id"], obj["frame"]
+        if not video_id:
+            raise RecordError("video_id must be a non-empty string", source_name, lineno)
+        try:
+            phase = vocab.index_of("phases", obj["phase"])
+            triplets = tuple(_parse_triplet(raw, vocab) for raw in obj["triplets"])
+        except KeyError as exc:
+            raise RecordError(str(exc).strip('"'), source_name, lineno) from None
+        frames = frames_by_video.setdefault(video_id, {})
+        if frame_index in frames:
+            raise RecordError(
+                f"duplicate frame index {frame_index} for video {video_id}",
+                source_name,
+                lineno,
+            )
+        frames[frame_index] = FrameAnnotation(video_id, frame_index, triplets, phase)
+
+    records = []
+    for video_id, frames in frames_by_video.items():
+        ordered = tuple(frames[i] for i in sorted(frames))
+        try:
+            records.append(VideoRecord(video_id, ordered))
+        except ValueError as exc:
+            raise RecordError(str(exc), source_name) from None
+    return records
+
+
+# One-letter names, so a string such as "agq" has the tuple() of a valid key.
+_LETTERS = Vocabulary(
+    instruments=tuple("abcdef"),
+    verbs=tuple("ghijklmno") + (NULL_VERB_NAME,),
+    targets=tuple("qrstuvwxyzABCD") + (NULL_TARGET_NAME,),
+    phases=tuple("FGHIJKL"),
+)
+_VALID_TRIPLETS = [
+    ["a", "g", "q"], ["a", "null", "null"], ["b", None, None], ["c", NULL_VERB_NAME, "null"],
+    ["d", "h", NULL_TARGET_NAME], ["f", "o", "D"], ["a", "g", "r"],
+]
+_INVALID_TRIPLETS = [
+    "agq",                                # tuple() is a valid key
+    {"a": 0, "g": 0, "q": 0},             # so is this dict's
+    ("a", "g", "q"),                      # a list in JSON again; valid
+    ["a", "g"], ["a", "g", "q", "r"], [], None, 7,
+    ["a", ["g"], "q"], ["a", "g", {"q": 1}],  # unhashable components
+    ["z", "g", "q"], ["a", "p", "q"], ["a", "g", "E"],
+    ["a", "null", "q"],                   # a target with a null verb
+    [True, "g", "q"], ["a", 1, "q"], [1.0, None, None],
+]
+
+
+def _annotation_outcome(parse, text):
+    try:
+        return parse(text, _LETTERS, "ann.jsonl")
+    except RecordError as exc:
+        return ("RecordError", str(exc))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    frames=st.lists(
+        st.lists(st.sampled_from(_VALID_TRIPLETS * 12 + _INVALID_TRIPLETS), max_size=3),
+        min_size=1,
+        max_size=12,
+    ),
+    order=st.randoms(use_true_random=False),
+)
+def test_parse_annotations_matches_oracle(frames, order):
+    lines = [
+        json.dumps({"video_id": "V", "frame": i, "phase": "F", "triplets": triplets})
+        for i, triplets in enumerate(frames)
+    ]
+    order.shuffle(lines)
+    text = "\n".join(lines) + "\n"
+    assert _annotation_outcome(parse_annotations, text) == _annotation_outcome(
+        _parse_annotations_oracle, text
+    )
+
+
+def test_parse_annotations_shares_one_triplet_per_distinct_list():
+    lines = [{"video_id": "V", "frame": i, "phase": "F", "triplets": [["a", "g", "q"]]} for i in range(3)]
+    text = "".join(json.dumps(line) + "\n" for line in lines)
+    frames = parse_annotations(text, _LETTERS)[0].frames
+    assert frames[0].triplets[0] is frames[1].triplets[0] is frames[2].triplets[0]
+    assert parse_annotations(text, _LETTERS) == _parse_annotations_oracle(text, _LETTERS)
+
+
+@pytest.mark.parametrize("raw", ["agq", {"a": 0, "g": 0, "q": 0}])
+def test_a_string_or_dict_spelling_a_seen_triplet_is_rejected_at_its_line(raw):
+    lines = [
+        {"video_id": "V", "frame": 0, "phase": "F", "triplets": [["a", "g", "q"]]},
+        {"video_id": "V", "frame": 1, "phase": "F", "triplets": [raw]},
+    ]
+    text = "".join(json.dumps(line) + "\n" for line in lines)
+    with pytest.raises(RecordError, match="^ann.jsonl:2: triplet must be a") as caught:
+        parse_annotations(text, _LETTERS, "ann.jsonl")
+    with pytest.raises(RecordError) as expected:
+        _parse_annotations_oracle(text, _LETTERS, "ann.jsonl")
+    assert str(caught.value) == str(expected.value)

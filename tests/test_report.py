@@ -4,6 +4,7 @@ import json
 import logging
 import math
 import random
+import socket
 
 import pytest
 
@@ -305,6 +306,97 @@ def test_llm_generate_non_transient_status_after_a_transient_one(vocab, monkeypa
         with pytest.raises(EndpointStatusError, match="status 404"):
             llm_generate(request, endpoint)
     assert len(stub.requests) == 2
+
+
+def test_llm_generate_sends_the_json_body_and_headers(vocab, monkeypatch):
+    monkeypatch.setenv("SURGREPORT_API_KEY", "secret-token")
+    request = render_prompt([full_phase_clip(vocab, 0)])
+    with StubChatServer() as stub:
+        endpoint = EndpointConfig(base_url=stub.url + "/v1/", model="m", backoff_seconds=0.01)
+        llm_generate(request, endpoint)
+    payload = {
+        "model": "m",
+        "messages": [{"role": "user", "content": request.prompt}],
+        "temperature": 0.2,
+        "max_tokens": 1024,
+    }
+    assert stub.bodies == [json.dumps(payload).encode("utf-8")]
+    assert stub.paths == ["/v1/chat/completions"]
+
+
+def test_llm_generate_follows_no_redirect(vocab, monkeypatch):
+    monkeypatch.setenv("SURGREPORT_API_KEY", "secret-token")
+    request = render_prompt([full_phase_clip(vocab, 0)])
+    with StubChatServer() as elsewhere:
+        location = {"Location": elsewhere.url + "/chat/completions"}
+        with StubChatServer(status=302, headers=location) as stub:
+            endpoint = EndpointConfig(base_url=stub.url, model="m", backoff_seconds=0.01)
+            with pytest.raises(EndpointStatusError, match="status 302$") as caught:
+                llm_generate(request, endpoint)
+    assert caught.value.status == 302
+    assert len(stub.requests) == 1  # 3xx is not transient; no retry
+    assert elsewhere.requests == []
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        b"<html>busy</html>",
+        b"\xff\xfe",
+        b"[]",
+        b'{"choices": []}',
+        b'{"choices": [{"message": {"content": 5}}]}',
+        b'{"choices": [{"message": {"content": null}}]}',
+    ],
+)
+def test_llm_generate_malformed_response(vocab, monkeypatch, body):
+    monkeypatch.setenv("SURGREPORT_API_KEY", "secret-token")
+    request = render_prompt([full_phase_clip(vocab, 0)])
+    with StubChatServer(body=body) as stub:
+        endpoint = EndpointConfig(base_url=stub.url, model="m", backoff_seconds=0.01)
+        with pytest.raises(EndpointStatusError, match="^malformed endpoint response: ") as caught:
+            llm_generate(request, endpoint)
+    assert caught.value.status == 200
+    assert len(stub.requests) == 1
+
+
+def test_llm_generate_nothing_listening_is_a_transport_error(vocab, monkeypatch, caplog):
+    monkeypatch.setenv("SURGREPORT_API_KEY", "secret-token")
+    request = render_prompt([full_phase_clip(vocab, 0)])
+    with socket.socket() as sock:  # a port that was free a moment ago
+        sock.bind(("127.0.0.1", 0))
+        port = sock.getsockname()[1]
+    endpoint = EndpointConfig(
+        base_url=f"http://127.0.0.1:{port}", model="m", backoff_seconds=0.01, max_attempts=2
+    )
+    with caplog.at_level(logging.WARNING):
+        with pytest.raises(TransportError, match="^request failed after 2 attempts: "):
+            llm_generate(request, endpoint)
+    assert caplog.text.count("transport failure on attempt") == 2
+
+
+@pytest.mark.parametrize("base_url", ["127.0.0.1:9/v1", "file:///v1", "ftp://127.0.0.1:9/v1"])
+def test_llm_generate_url_without_an_http_scheme_is_a_transport_error(vocab, monkeypatch, base_url):
+    monkeypatch.setenv("SURGREPORT_API_KEY", "secret-token")
+    request = render_prompt([full_phase_clip(vocab, 0)])
+    endpoint = EndpointConfig(base_url=base_url, model="m", backoff_seconds=0.01, max_attempts=2)
+    with pytest.raises(TransportError, match="^request failed after 2 attempts: "):
+        llm_generate(request, endpoint)
+
+
+def test_llm_generate_honors_http_proxy(vocab, monkeypatch):
+    monkeypatch.setenv("SURGREPORT_API_KEY", "secret-token")
+    for name in ("NO_PROXY", "no_proxy", "http_proxy", "REQUEST_METHOD"):
+        monkeypatch.delenv(name, raising=False)
+    request = render_prompt([full_phase_clip(vocab, 0)])
+    # Nothing listens on the endpoint's own address: only the proxy can answer.
+    with StubChatServer(completion="Proxied.") as proxy:
+        monkeypatch.setenv("HTTP_PROXY", proxy.url)
+        endpoint = EndpointConfig(base_url="http://127.0.0.2:9/v1", model="m", max_attempts=1)
+        report = llm_generate(request, endpoint)
+    assert report.narrative == "Proxied."
+    assert proxy.paths == ["http://127.0.0.2:9/v1/chat/completions"]
+    assert proxy.auth_headers == ["Bearer secret-token"]
 
 
 @pytest.mark.parametrize("attempts", [0, -1, "3"])
