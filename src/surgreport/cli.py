@@ -9,7 +9,6 @@ on unchanged inputs produces byte-identical files.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import logging
 import sys
@@ -338,7 +337,7 @@ def cmd_report(config: PipelineConfig, videos: list[str] | None = None) -> list[
             report = llm_generate(render_prompt(clips), endpoint)
             return write_report(report_dir, report, vocab, suffix=".llm")
 
-        with ThreadPoolExecutor(max_workers=max(1, endpoint.parallelism)) as pool:
+        with ThreadPoolExecutor(max_workers=endpoint.parallelism) as pool:
             try:
                 outputs.extend(pool.map(generate, sorted(selected.items())))
             except EndpointError as exc:
@@ -346,19 +345,6 @@ def cmd_report(config: PipelineConfig, videos: list[str] | None = None) -> list[
                 raise EndpointError(f"endpoint report failed: {exc}") from exc
     _write_manifest(config, "report", outputs)
     return outputs
-
-
-# The config section of each field a flag overrides; the flag has the field's name.
-_FLAG_SECTIONS = {"seed": "split", "threshold": "detection", "mode": "detection", "offline": "report"}
-
-
-def _apply_overrides(config: PipelineConfig, args: argparse.Namespace) -> PipelineConfig:
-    for flag, section in _FLAG_SECTIONS.items():
-        value = getattr(args, flag, None)
-        if value is not None and value is not False:
-            updated = dataclasses.replace(getattr(config, section), **{flag: value})
-            config = dataclasses.replace(config, **{section: updated})
-    return config
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -378,10 +364,13 @@ def build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", required=True, help="pipeline YAML configuration")
         cmd.add_argument("--videos", help="comma-separated video ids to restrict to")
-        cmd.add_argument("--seed", type=int, help="override split.seed")
-        cmd.add_argument("--threshold", type=float, help="override detection.threshold")
-        cmd.add_argument("--mode", choices=("sigmoid", "softmax"), help="override detection.mode")
-        cmd.add_argument("--offline", action="store_true", help="skip the endpoint report")
+        # Each override flag's dest is the config key it sets (SPLIT.SEED in --help).
+        cmd.add_argument("--seed", dest="split.seed", type=int)
+        cmd.add_argument("--threshold", dest="detection.threshold", type=float)
+        cmd.add_argument("--mode", dest="detection.mode", choices=("sigmoid", "softmax"),
+                         help="override detection.mode")
+        cmd.add_argument("--offline", dest="report.offline", action="store_const", const=True,
+                         help="skip the endpoint report")
     return parser
 
 
@@ -390,7 +379,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     videos = args.videos.split(",") if args.videos else None
     try:
-        config = _apply_overrides(load_config(args.config), args)
+        config = load_config(args.config, {k: v for k, v in vars(args).items() if "." in k and v is not None})
         runner = {
             "preprocess": lambda: cmd_preprocess(config, videos),
             "detect": lambda: cmd_detect(config, videos),

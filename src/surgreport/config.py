@@ -1,26 +1,69 @@
-"""Pipeline configuration: one YAML file, flag overrides, validation.
+"""Pipeline configuration: one YAML file, flag overrides, one typed schema.
 
-Precedence is flag > config file > default. Every output directory gets a
-run-manifest sidecar carrying the configuration hash and artifact version,
-so runs are reproducible and attributable without polluting data files.
+Flags are written into the file's mapping before it is built (flag > config
+> default). Each section is a frozen dataclass that checks its fields when
+constructed, without conversion: ``bool``, ``int``, ``str`` by exact type,
+``float`` a finite number, ``X | None``, ``Literal``, a fixed-length tuple
+(from a YAML list), a nested section (a mapping; null or ``{}`` keeps the
+default), then the bound in the field's metadata. A bad value is one
+``ConfigError`` naming its dotted path; ``config_hash`` feeds the run manifests.
 """
-
-from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import MISSING, asdict, dataclass, field, fields
+import sys
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
+from types import UnionType
+from typing import Literal, get_args, get_origin
 
 import yaml
 
 from .errors import ConfigError
-from .report import EndpointConfig
 from .vocab import Vocabulary, default_vocabulary, load_vocabulary
+
+_PHRASES = {bool: "true or false", int: "an integer", str: "a string", type(None): "null"}
+
+
+def _mismatch(value, kind) -> str | None:
+    """None when ``value`` has the annotated type ``kind``, else what it must be."""
+    args = get_args(kind)
+    if get_origin(kind) is UnionType:
+        wants = [_mismatch(value, arg) for arg in args]
+        return None if None in wants else " or ".join(wants)
+    if get_origin(kind) is Literal:
+        fits, want = value in args, "one of " + ", ".join(map(repr, args))
+    elif get_origin(kind) is tuple:
+        fits = type(value) is tuple and len(value) == len(args) and not any(map(_mismatch, value, args))
+        want = f"a list of {len(args)} values"
+    elif kind is float:
+        # A NaN fails the comparison, and so does an int too large for a float.
+        fits, want = type(value) in (int, float) and abs(value) <= sys.float_info.max, "a finite number"
+    else:
+        fits, want = type(value) is kind, _PHRASES.get(kind) or kind.__name__
+    return None if fits else want
+
+
+def _rule(default, test, phrase: str):
+    """A field whose value must also pass ``test(value, section)``, as ``phrase`` says."""
+    return field(default=default, metadata={"test": test, "phrase": phrase})
+
+
+class _Checked:
+    """Checks each field of a config dataclass against its annotation and rule, in order."""
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            given = getattr(self, f.name)
+            if type(given) is list and get_origin(f.type) is tuple:
+                object.__setattr__(self, f.name, tuple(given))
+            value, test = getattr(self, f.name), f.metadata.get("test", lambda *_: True)
+            if (want := _mismatch(value, f.type)) or not test(value, self):
+                raise ConfigError(f"{f.name} must be {f.metadata.get('phrase', want)}, got {given!r}")
 
 
 @dataclass(frozen=True)
-class PathsConfig:
+class PathsConfig(_Checked):
     annotations: str | None = None
     logits: str | None = None
     embeddings: str | None = None
@@ -29,40 +72,58 @@ class PathsConfig:
 
 
 @dataclass(frozen=True)
-class WindowingConfig:
-    size: int = 32
-    stride: int = 16
+class WindowingConfig(_Checked):
+    size: int = _rule(32, lambda v, _: v >= 1, "an integer >= 1")
+    stride: int = _rule(16, lambda v, s: 1 <= v <= s.size, "an integer in [1, size]")
 
 
 @dataclass(frozen=True)
-class DetectionConfig:
-    mode: str = "sigmoid"
-    threshold: float = 0.5
-    epsilon: float = 1e-6
+class DetectionConfig(_Checked):
+    mode: Literal["sigmoid", "softmax"] = "sigmoid"
+    threshold: float = _rule(0.5, lambda v, _: 0 <= v <= 1, "a number in [0, 1]")
 
 
 @dataclass(frozen=True)
-class CalibrationConfig:
-    bins: int = 10
-    t_lo: float = 0.05
-    t_hi: float = 20.0
+class CalibrationConfig(_Checked):
+    bins: int = _rule(10, lambda v, _: v >= 1, "an integer >= 1")
+    t_lo: float = _rule(0.05, lambda v, _: v > 0, "a finite number > 0")
+    t_hi: float = _rule(20.0, lambda v, c: v > c.t_lo, "a finite number > t_lo")
 
 
 @dataclass(frozen=True)
-class SplitConfig:
-    ratios: tuple[float, float, float] = (0.8, 0.1, 0.1)
+class SplitConfig(_Checked):
+    ratios: tuple[float, float, float] = _rule(
+        (0.8, 0.1, 0.1), lambda v, _: min(v) >= 0 and abs(sum(v) - 1.0) <= 1e-9,
+        "a list of three nonnegative numbers that sum to 1",
+    )
     seed: int = 7
-    granularity: str = "frame"
+    granularity: Literal["frame", "video"] = "frame"
 
 
 @dataclass(frozen=True)
-class ReportSettings:
+class EndpointConfig(_Checked):
+    """Generic chat-completion wire contract; no vendor lock-in."""
+
+    base_url: str
+    model: str
+    temperature: float = 0.2
+    max_tokens: int = _rule(1024, lambda v, _: v >= 1, "an integer >= 1")
+    credential_env: str = "SURGREPORT_API_KEY"
+    timeout: float = _rule(60.0, lambda v, _: v > 0, "a finite number > 0")
+    # llm_generate raises the error of its last attempt, so there must be one.
+    max_attempts: int = _rule(3, lambda v, _: v >= 1, "an integer >= 1")
+    backoff_seconds: float = _rule(0.5, lambda v, _: v >= 0, "a finite number >= 0")
+    parallelism: int = _rule(2, lambda v, _: v >= 1, "an integer >= 1")
+
+
+@dataclass(frozen=True)
+class ReportSettings(_Checked):
     offline: bool = True
     endpoint: EndpointConfig | None = None
 
 
 @dataclass(frozen=True)
-class EvaluateConfig:
+class EvaluateConfig(_Checked):
     """Caption files to score; reference paths default to preprocess outputs."""
 
     generated_frame_captions: str | None = None
@@ -72,7 +133,7 @@ class EvaluateConfig:
 
 
 @dataclass(frozen=True)
-class PipelineConfig:
+class PipelineConfig(_Checked):
     paths: PathsConfig = field(default_factory=PathsConfig)
     windowing: WindowingConfig = field(default_factory=WindowingConfig)
     detection: DetectionConfig = field(default_factory=DetectionConfig)
@@ -90,63 +151,34 @@ class PipelineConfig:
         return Path(self.paths.output_dir)
 
 
-def _section(data: dict, name: str) -> dict:
-    value = data.get(name, {})
-    if value is None:
-        return {}
-    if not isinstance(value, dict):
-        raise ConfigError(f"config section {name!r} must be a mapping")
-    return value
-
-
-def _build(cls, data: dict, name: str):
-    known = {f for f in cls.__dataclass_fields__}
-    unknown = set(data) - known
-    if unknown:
-        raise ConfigError(f"unknown keys in config section {name!r}: {sorted(unknown)}")
-    missing = [
-        f.name
-        for f in fields(cls)
-        if f.default is MISSING and f.default_factory is MISSING and f.name not in data
-    ]
-    if missing:
-        raise ConfigError(f"missing required keys in config section {name!r}: {missing}")
-    return cls(**data)
-
-
-def _ratios(value) -> tuple[float, float, float]:
-    numbers = type(value) is list and len(value) == 3 and all(type(r) in (int, float) for r in value)
-    # Negated comparisons, so a NaN fails them.
-    if not numbers or not (min(value) >= 0 and abs(sum(value) - 1.0) <= 1e-9):
-        raise ConfigError(
-            f"split.ratios must be a list of three nonnegative numbers that sum to 1, got {value!r}"
-        )
-    return tuple(value)
+def _build(cls, data, path: str):
+    """Build the section ``cls`` from a mapping; each ConfigError names the dotted path."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"{path or 'config'} must be a mapping, got {data!r}")
+    where = f"config section {path!r}" if path else "config"
+    if unknown := sorted(set(data) - {f.name for f in fields(cls)}, key=str):
+        raise ConfigError(f"unknown keys in {where}: {unknown}")
+    required = {f.name for f in fields(cls) if f.default is f.default_factory is MISSING}
+    if missing := sorted(required - set(data)):
+        raise ConfigError(f"missing required keys in {where}: {missing}")
+    prefix = f"{path}." if path else ""
+    values = dict(data)
+    for f in fields(cls):
+        section = next(filter(is_dataclass, (f.type, *get_args(f.type))), None)
+        if section and values.pop(f.name, None) not in (None, {}):
+            values[f.name] = _build(section, data[f.name], prefix + f.name)
+    try:
+        return cls(**values)
+    except ConfigError as exc:
+        raise ConfigError(f"{prefix}{exc}") from None
 
 
 def config_from_mapping(data: dict) -> PipelineConfig:
-    report_data = dict(_section(data, "report"))
-    endpoint_data = report_data.get("endpoint")
-    if endpoint_data is not None and not isinstance(endpoint_data, dict):
-        raise ConfigError(f"report.endpoint must be a mapping, got {endpoint_data!r}")
-    report_data["endpoint"] = (
-        _build(EndpointConfig, endpoint_data, "report.endpoint") if endpoint_data else None
-    )
-    split_data = dict(_section(data, "split"))
-    if "ratios" in split_data:
-        split_data["ratios"] = _ratios(split_data["ratios"])
-    return PipelineConfig(
-        paths=_build(PathsConfig, _section(data, "paths"), "paths"),
-        windowing=_build(WindowingConfig, _section(data, "windowing"), "windowing"),
-        detection=_build(DetectionConfig, _section(data, "detection"), "detection"),
-        calibration=_build(CalibrationConfig, _section(data, "calibration"), "calibration"),
-        split=_build(SplitConfig, split_data, "split"),
-        report=_build(ReportSettings, report_data, "report"),
-        evaluate=_build(EvaluateConfig, _section(data, "evaluate"), "evaluate"),
-    )
+    return _build(PipelineConfig, data, "")
 
 
-def load_config(path: str | Path) -> PipelineConfig:
+def load_config(path: str | Path, overrides: dict | None = None) -> PipelineConfig:
+    """Load a YAML config; ``overrides`` maps dotted keys (``detection.threshold``) to values."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
@@ -154,6 +186,10 @@ def load_config(path: str | Path) -> PipelineConfig:
         data = yaml.safe_load(fh) or {}
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: config must be a mapping")
+    for key, value in (overrides or {}).items():
+        name, _, leaf = key.partition(".")
+        if isinstance(section := data.get(name), dict | None):
+            data[name] = {**(section or {}), leaf: value}
     return config_from_mapping(data)
 
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import json
 import logging
-import math
 import os
 import time
 from dataclasses import dataclass
@@ -26,8 +25,9 @@ from itertools import chain, groupby
 from pathlib import Path
 
 from .captions import ClipCaption, verb_forms
+from .config import EndpointConfig
 from .dataset import Triplet
-from .errors import ConfigError, EndpointStatusError, MissingCredentialError, TransportError
+from .errors import EndpointStatusError, MissingCredentialError, TransportError
 from .vocab import Vocabulary
 
 log = logging.getLogger(__name__)
@@ -95,32 +95,6 @@ class SurgicalReport:
     narrative: str
     timeline: MergedTimeline
     provenance: str  # "offline" or "llm:<model id>"
-
-
-@dataclass(frozen=True)
-class EndpointConfig:
-    """Generic chat-completion wire contract; no vendor lock-in."""
-
-    base_url: str
-    model: str
-    temperature: float = 0.2
-    max_tokens: int = 1024
-    credential_env: str = "SURGREPORT_API_KEY"
-    timeout: float = 60.0
-    max_attempts: int = 3
-    backoff_seconds: float = 0.5
-    parallelism: int = 2
-
-    def __post_init__(self) -> None:
-        # llm_generate raises the error of its last attempt, so there must be one.
-        if type(self.max_attempts) is not int or self.max_attempts < 1:
-            raise ConfigError(f"endpoint max_attempts must be an integer >= 1, got {self.max_attempts!r}")
-        # Each retry sleeps this long; the negated range test also fails a NaN.
-        backoff = self.backoff_seconds
-        if type(backoff) not in (int, float) or not 0 <= backoff < math.inf:
-            raise ConfigError(
-                f"endpoint backoff_seconds must be a finite number >= 0, got {backoff!r}"
-            )
 
 
 def merge_timeline(clips: list[ClipCaption]) -> MergedTimeline:
@@ -262,6 +236,7 @@ def llm_generate(request: PromptRequest, endpoint: EndpointConfig) -> SurgicalRe
     }
     headers = {"Authorization": f"Bearer {credential}", "Content-Type": "application/json"}
     url = endpoint.base_url.rstrip("/") + "/chat/completions"
+    body = json.dumps(payload).encode("utf-8")
     opener = _opener()
     # Each attempt that does not succeed binds ``error``; the last one is raised.
     for attempt in range(1, endpoint.max_attempts + 1):
@@ -272,8 +247,7 @@ def llm_generate(request: PromptRequest, endpoint: EndpointConfig) -> SurgicalRe
             url, attempt, endpoint.max_attempts, len(request.clips),
         )
         try:
-            # A NaN or infinite number, or a URL without a scheme, raises ValueError.
-            body = json.dumps(payload, allow_nan=False).encode("utf-8")
+            # A URL without a scheme raises ValueError.
             post = urllib.request.Request(url, data=body, headers=headers, method="POST")
             with opener.open(post, timeout=endpoint.timeout) as response:
                 status, answer = response.status, response.read()

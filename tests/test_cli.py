@@ -815,3 +815,107 @@ def test_bad_report_settings_end_in_error_line(workspace, monkeypatch, capsys, r
     assert err.startswith("error: ")
     assert message in err
     assert len(err.splitlines()) == 1
+
+
+def _endpoint(**fields):
+    """A report section whose endpoint would fail fast if the run ever reached it."""
+    endpoint = {"base_url": "http://127.0.0.1:9", "model": "m", "max_attempts": 1, **fields}
+    return {"report": {"offline": False, "endpoint": endpoint}}
+
+
+# (command, config sections over the workspace paths, flags, the one error line's message)
+CONFIG_PROBES = {
+    "threshold-abc": ("detect", {"detection": {"threshold": "abc"}}, [],
+                      "detection.threshold must be a number in [0, 1], got 'abc'"),
+    "threshold-true": ("detect", {"detection": {"threshold": True}}, [],
+                       "detection.threshold must be a number in [0, 1], got True"),
+    "threshold-nan": ("detect", {"detection": {"threshold": float("nan")}}, [],
+                      "detection.threshold must be a number in [0, 1], got nan"),
+    "mode-tanh": ("detect", {"detection": {"mode": "tanh"}}, [],
+                  "detection.mode must be one of 'sigmoid', 'softmax', got 'tanh'"),
+    "size-0": ("preprocess", {"windowing": {"size": 0}}, [],
+               "windowing.size must be an integer >= 1, got 0"),
+    "size-string": ("preprocess", {"windowing": {"size": "32"}}, [],
+                    "windowing.size must be an integer >= 1, got '32'"),
+    "size-float": ("preprocess", {"windowing": {"size": 32.5}}, [],
+                   "windowing.size must be an integer >= 1, got 32.5"),
+    "stride-above-size": ("preprocess", {"windowing": {"size": 16, "stride": 32}}, [],
+                          "windowing.stride must be an integer in [1, size], got 32"),
+    "bins-0": ("calibrate", {"calibration": {"bins": 0}}, [],
+               "calibration.bins must be an integer >= 1, got 0"),
+    "t_lo-above-t_hi": ("calibrate", {"calibration": {"t_lo": 5, "t_hi": 1}}, [],
+                        "calibration.t_hi must be a finite number > t_lo, got 1"),
+    "granularity-clip": ("calibrate", {"split": {"granularity": "clip"}}, [],
+                         "split.granularity must be one of 'frame', 'video', got 'clip'"),
+    "seed-string": ("calibrate", {"split": {"seed": "abc"}}, [],
+                    "split.seed must be an integer, got 'abc'"),
+    "seed-float": ("calibrate", {"split": {"seed": 1.5}}, [],
+                   "split.seed must be an integer, got 1.5"),
+    "output_dir-int": ("preprocess", {"paths": {"output_dir": 5}}, [],
+                       "paths.output_dir must be a string, got 5"),
+    "offline-string": ("report", {"report": {"offline": "false"}}, [],
+                       "report.offline must be true or false, got 'false'"),
+    "parallelism-0": ("report", _endpoint(parallelism=0), [],
+                      "report.endpoint.parallelism must be an integer >= 1, got 0"),
+    "timeout-string": ("report", _endpoint(timeout="x"), [],
+                       "report.endpoint.timeout must be a finite number > 0, got 'x'"),
+    "base_url-int": ("report", _endpoint(base_url=5), [],
+                     "report.endpoint.base_url must be a string, got 5"),
+    "temperature-nan": ("report", _endpoint(temperature=float("nan")), [],
+                        "report.endpoint.temperature must be a finite number, got nan"),
+    "generated_frame_captions-int": (
+        "evaluate", {"evaluate": {"generated_frame_captions": 5}}, [],
+        "evaluate.generated_frame_captions must be a string or null, got 5",
+    ),
+    "epsilon": ("detect", {"detection": {"epsilon": 1e-6}}, [],
+                "unknown keys in config section 'detection': ['epsilon']"),
+    "flag-threshold-nan": ("detect", {}, ["--threshold", "nan"],
+                           "detection.threshold must be a number in [0, 1], got nan"),
+    "flag-threshold-above-1": ("detect", {}, ["--threshold", "1.5"],
+                               "detection.threshold must be a number in [0, 1], got 1.5"),
+}
+
+
+@pytest.mark.parametrize("case", list(CONFIG_PROBES))
+def test_bad_config_value_is_one_error_line_at_load(workspace, vocab, monkeypatch, capsys, case):
+    command, sections, flags, message = CONFIG_PROBES[case]
+    logits_path, out, config = _logits_workspace(workspace, vocab)
+    tmp_path, _, annotations, _, _ = workspace
+    if command in ("report", "evaluate"):
+        assert main(["preprocess", "--config", config]) == 0
+    paths = {"annotations": str(annotations), "logits": str(logits_path), "output_dir": str(out)}
+    probe = write_config(
+        tmp_path / "probe.yaml", **{**sections, "paths": {**paths, **sections.get("paths", {})}}
+    )
+    # A relative output_dir would land in the working directory, which is checked too.
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("SURGREPORT_API_KEY", "k")
+    before = sorted(tmp_path.rglob("*"))
+    capsys.readouterr()
+    assert main([command, "--config", probe, *flags]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("temperature", [".nan", ".inf", "-.inf"])
+def test_non_finite_endpoint_temperature_fails_at_load(workspace, monkeypatch, capsys, temperature):
+    tmp_path, _, annotations, out, config = workspace
+    assert main(["preprocess", "--config", config]) == 0
+    monkeypatch.setenv("SURGREPORT_API_KEY", "k")
+    sleeps = []
+    monkeypatch.setattr("time.sleep", sleeps.append)
+    with StubChatServer() as stub:
+        probe = tmp_path / "probe.yaml"
+        probe.write_text(
+            f"paths: {{annotations: '{annotations}', output_dir: '{out}'}}\n"
+            f"report: {{offline: false, endpoint: {{base_url: '{stub.url}', model: m,"
+            f" temperature: {temperature}}}}}\n",
+            encoding="utf-8",
+        )
+        capsys.readouterr()
+        assert main(["report", "--config", str(probe)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: report.endpoint.temperature must be a finite number, got ")
+    assert len(err.splitlines()) == 1
+    assert (stub.requests, sleeps) == ([], [])
+    assert not (out / "reports").exists()

@@ -1,0 +1,198 @@
+from __future__ import annotations
+
+import copy
+import json
+import math
+import re
+import types
+import typing
+from dataclasses import asdict, fields, is_dataclass
+from pathlib import Path
+
+import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from surgreport.config import (
+    CalibrationConfig,
+    DetectionConfig,
+    EndpointConfig,
+    PipelineConfig,
+    ReportSettings,
+    SplitConfig,
+    WindowingConfig,
+    config_from_mapping,
+    load_config,
+)
+from surgreport.errors import ConfigError
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+README_CONFIG = yaml.safe_load(re.search(r"### Configuration\n.*?```yaml\n(.*?)```", README, re.S).group(1))
+
+
+def _nodes(data: dict, path: tuple = ()):
+    """The path of every section and leaf below the top of a config mapping."""
+    for key, value in data.items():
+        yield path + (key,)
+        if isinstance(value, dict):
+            yield from _nodes(value, path + (key,))
+
+
+def _at(data, path: tuple):
+    for key in path:
+        data = data.get(key) if isinstance(data, dict) else None
+    return data
+
+
+NODES = list(_nodes(README_CONFIG))
+SECTIONS = [()] + [path for path in NODES if isinstance(_at(README_CONFIG, path), dict)]
+BAD_VALUES = [
+    "abc", "", math.nan, math.inf, -math.inf, True, False, -1, -0.5, 0, 2.5, 10**400,
+    [1, 2], [], {"x": 1}, {}, None,
+]
+
+
+def _has_type(value, kind) -> bool:
+    """Oracle: ``value`` has the annotated type ``kind``, nested sections included."""
+    if is_dataclass(kind):
+        hints = typing.get_type_hints(kind)
+        return type(value) is kind and all(
+            _has_type(getattr(value, f.name), hints[f.name]) for f in fields(kind)
+        )
+    origin, args = typing.get_origin(kind), typing.get_args(kind)
+    if origin in (typing.Union, types.UnionType):
+        return any(_has_type(value, arg) for arg in args)
+    if origin is typing.Literal:
+        return value in args
+    if origin is tuple:
+        return type(value) is tuple and len(value) == len(args) and all(map(_has_type, value, args))
+    if kind is float:
+        return type(value) is int or (type(value) is float and math.isfinite(value))
+    return type(value) is kind
+
+
+def _assert_typed_as_written(config: PipelineConfig, data: dict) -> None:
+    """Every field has its type, and each leaf given loads unconverted (a list as a tuple)."""
+    assert _has_type(config, PipelineConfig)
+    loaded = asdict(config)
+    for path in _nodes(data):
+        given_value, field_value = _at(data, path), _at(loaded, path)
+        # A null or empty section loads as its defaults.
+        if not isinstance(given_value, dict) and not isinstance(field_value, dict):
+            assert json.dumps(field_value) == json.dumps(given_value), path
+
+
+def test_readme_config_loads_as_written():
+    config = config_from_mapping(README_CONFIG)
+    assert config.split.ratios == (0.8, 0.1, 0.1)
+    assert config.report.endpoint == EndpointConfig(
+        base_url="https://api.example.com/v1", model="gpt-4", timeout=60
+    )
+    _assert_typed_as_written(config, README_CONFIG)
+
+
+@pytest.mark.parametrize("empty", [None, {}])
+def test_a_null_or_empty_section_keeps_its_default(empty):
+    for name in README_CONFIG:
+        assert config_from_mapping({name: empty}) == PipelineConfig()
+    assert config_from_mapping({"report": {"endpoint": empty}}) == PipelineConfig()
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: DetectionConfig(threshold=1.5), "threshold must be a number in [0, 1], got 1.5"),
+        (lambda: DetectionConfig(mode="tanh"), "mode must be one of 'sigmoid', 'softmax', got 'tanh'"),
+        (lambda: WindowingConfig(size=8), "stride must be an integer in [1, size], got 16"),
+        (lambda: WindowingConfig(size=True), "size must be an integer >= 1, got True"),
+        (lambda: CalibrationConfig(t_lo=2, t_hi=2), "t_hi must be a finite number > t_lo, got 2"),
+        (lambda: SplitConfig(ratios=(0.5, 0.5)), "ratios must be a list of three nonnegative numbers"),
+        (
+            lambda: EndpointConfig(base_url="u", model="m", temperature=math.inf),
+            "temperature must be a finite number, got inf",
+        ),
+        (
+            lambda: EndpointConfig(base_url="u", model="m", timeout=10**400),
+            "timeout must be a finite number > 0",
+        ),
+        (lambda: PipelineConfig(split={"seed": 1}), "split must be SplitConfig, got {'seed': 1}"),
+        (lambda: ReportSettings(endpoint={}), "endpoint must be EndpointConfig or null, got {}"),
+    ],
+)
+def test_constructing_a_section_checks_its_fields(build, message):
+    with pytest.raises(ConfigError) as caught:
+        build()
+    assert str(caught.value).startswith(message)
+
+
+def test_a_list_fills_a_tuple_field():
+    assert SplitConfig(ratios=[0.2, 0.3, 0.5]).ratios == (0.2, 0.3, 0.5)
+
+
+def test_unknown_top_level_key_is_an_error():
+    with pytest.raises(ConfigError, match=r"unknown keys in config: \['detecton'\]"):
+        config_from_mapping({"detecton": {"threshold": 0.7}})
+
+
+def test_overrides_replace_file_values(tmp_path):
+    path = tmp_path / "config.yaml"
+    path.write_text("detection: {threshold: 0.2}\nsplit: null\n", encoding="utf-8")
+    config = load_config(path, {"detection.threshold": 0.7, "split.seed": 3, "report.offline": True})
+    assert (config.detection.threshold, config.split.seed, config.report.offline) == (0.7, 3, True)
+    assert config.detection.mode == "sigmoid"
+    # A section that is not a mapping is reported, not replaced by the flag's value.
+    path.write_text("detection: []\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match=r"^detection must be a mapping, got \[\]$"):
+        load_config(path, {"detection.threshold": 0.7})
+
+
+MUTATION = st.one_of(
+    st.tuples(st.just("set"), st.sampled_from(NODES), st.sampled_from(BAD_VALUES)),
+    st.tuples(st.just("add"), st.sampled_from(SECTIONS), st.sampled_from(["bogus", "epsilon", 1])),
+)
+
+
+def _mutate(mutations) -> dict:
+    data = copy.deepcopy(README_CONFIG)
+    for action, path, item in mutations:
+        if action == "set":
+            parent, key, value = _at(data, path[:-1]), path[-1], item
+        else:
+            parent, key, value = _at(data, path), item, 1
+        # An earlier mutation may have replaced the parent with a non-mapping.
+        if isinstance(parent, dict):
+            parent[key] = value
+    return data
+
+
+def _check_loads_typed_or_raises_config_error(mutations) -> None:
+    data = _mutate(mutations)
+    try:
+        config = config_from_mapping(data)
+    except ConfigError as exc:
+        if len(mutations) == 1:
+            action, path, item = mutations[0]
+            dotted = ".".join(path)
+            if action == "add":
+                where = f" section {dotted!r}" if path else ""
+                assert str(exc) == f"unknown keys in config{where}: [{item!r}]"
+            else:
+                named = (f"{dotted} must be ", f"unknown keys in config section {dotted!r}")
+                assert str(exc).startswith(named)
+        return
+    _assert_typed_as_written(config, data)
+
+
+def test_every_single_mutation_loads_typed_or_raises_config_error():
+    for path in NODES:
+        for value in BAD_VALUES:
+            _check_loads_typed_or_raises_config_error([("set", path, value)])
+    for path in SECTIONS:
+        _check_loads_typed_or_raises_config_error([("add", path, "bogus")])
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(MUTATION, min_size=1, max_size=3))
+def test_mutated_readme_config_loads_typed_or_raises_config_error(mutations):
+    _check_loads_typed_or_raises_config_error(mutations)
