@@ -16,7 +16,10 @@ same-phase run, with ordinal connectives and durations in seconds:
 Actions repeated from the previous run are rendered with continuation
 phrasing ("continues to <verb>", "remains present"); the parser maps both
 surface forms back to the same action, so parsing a rendered caption
-recovers the segments exactly. The full grammar is documented in
+recovers the segments exactly. The parser reads a caption once, with a
+cursor: a compiled pattern takes each well-formed header and clause whole,
+and text a pattern does not match is read one literal at a time, so an
+error names its character offset. The full grammar is documented in
 docs/caption_grammar.md.
 """
 
@@ -65,7 +68,7 @@ NO_INSTRUMENT_CLAUSE = "no instrument is active"
 # The characters a name may not be followed by; ``_name_slot`` writes the
 # same set as the class [a-z0-9_\-].
 _NAME_CHARS = set("abcdefghijklmnopqrstuvwxyz0123456789_-")
-_DIGITS = set("0123456789")
+_DIGITS = re.compile("[0-9]*")
 
 
 @dataclass(frozen=True)
@@ -196,11 +199,11 @@ def _by_length(pairs: Iterable[tuple[str, int]]) -> list[tuple[str, int]]:
 def _name_slot(group: str, names: list[tuple[str, int]]) -> str:
     """A pattern that takes the first of ``names`` that ends at a name boundary.
 
-    Lookahead then backreference makes the choice atomic, as the walker's
+    Lookahead then backreference makes the choice atomic, as ``take_name``'s
     is: a later mismatch never backtracks into a shorter name.
     """
     alternation = "|".join(f"{re.escape(name)}(?![a-z0-9_\\-])" for name, _ in names)
-    # No names: a slot that matches nothing, as the walker's empty table.
+    # No names: a slot that matches nothing, as ``take_name`` on an empty table.
     alternation = alternation or "(?!)"
     return f"(?=(?P<{group}>{alternation}))(?P={group})"
 
@@ -208,15 +211,15 @@ def _name_slot(group: str, names: list[tuple[str, int]]) -> str:
 class _Grammar:
     """The clip-caption grammar of one vocabulary: name tables and compiled patterns.
 
-    ``match`` reads a well-formed caption with the patterns alone and
-    returns None on any violation; ``_Walker`` then locates and words it
-    from the same tables.
+    ``_Parser`` tries the header and clause patterns first and reads text
+    they do not match from the name tables, one literal at a time.
     """
 
     def __init__(self, vocab: Vocabulary):
         self.instruments = _by_length((name, i) for i, name in enumerate(vocab.instruments))
         self.targets = _by_length((name, i) for i, name in enumerate(vocab.targets))
         self.phases = _by_length((name, i) for i, name in enumerate(vocab.phases))
+        self.phase_index = dict(self.phases)
         verbs = [
             (VERB_FORMS[name], i)
             for i, name in enumerate(vocab.verbs)
@@ -237,62 +240,9 @@ class _Grammar:
             f"(?: the {_name_slot('target', self.targets)})?))"
             r"(?P<end> while |\.)"
         )
-        self._index = {
-            "phase": dict(self.phases),
-            "instrument": dict(self.instruments),
-            "base": dict(self.base_verbs),
-            "present": dict(self.present_verbs),
-            "target": dict(self.targets),
-        }
-        # One Triplet per distinct clause text; None for the no-instrument clause.
-        self._triplets: dict[str, Triplet | None] = {NO_INSTRUMENT_CLAUSE: None}
-
-    def _triplet(self, clause: re.Match) -> Triplet | None:
-        """The Triplet of a clause text not seen before."""
-        # An absent slot's group is None, which no index holds.
-        instrument, base, present, target = clause.group("instrument", "base", "present", "target")
-        index = self._index
-        triplet = Triplet(
-            index["instrument"][instrument],
-            index["base"].get(base, index["present"].get(present)),
-            index["target"].get(target),
-        )
-        return self._triplets.setdefault(clause["clause"], triplet)
-
-    def match(self, text: str) -> list[PhaseSegment] | None:
-        triplets = self._triplets
-        segments = []
-        pos, connective = 0, "First"
-        while True:
-            header = self.header.match(text, pos)
-            if header is None or header["connective"] != connective:
-                return None
-            pos = header.end()
-            actions = []
-            while clause := self.clause.match(text, pos):
-                key = clause["clause"]
-                actions.append(triplets[key] if key in triplets else self._triplet(clause))
-                pos = clause.end()
-                if clause["end"] == ".":
-                    break
-            else:
-                return None
-            if None in actions:
-                if len(actions) > 1:
-                    return None
-                actions = []
-            try:
-                segment = PhaseSegment(
-                    self._index["phase"][header["phase"]], int(header["duration"]), tuple(actions)
-                )
-            except ValueError:  # a duration of 0 or past int()'s digit limit, or a repeated action
-                return None
-            segments.append(segment)
-            if pos == len(text):
-                return segments
-            if text[pos] != " ":
-                return None
-            pos, connective = pos + 1, "Then"
+        # One Triplet per distinct clause text the pattern matched; None for
+        # the no-instrument clause.
+        self.triplets: dict[str, Triplet | None] = {NO_INSTRUMENT_CLAUSE: None}
 
 
 @lru_cache(maxsize=16)
@@ -300,11 +250,13 @@ def _grammar(vocab: Vocabulary) -> _Grammar:
     return _Grammar(vocab)
 
 
-class _Walker:
+class _Parser:
     """Cursor parser for clip-caption text; errors carry character offsets.
 
-    It reads the grammar's tables one literal and one name at a time, and
-    runs only on text the compiled patterns reject, to find the violation.
+    At each segment header and each clause it takes a match of the
+    grammar's compiled pattern whole. From where a pattern does not match,
+    it reads one literal and one name at a time, and fails at the first
+    violation.
     """
 
     def __init__(self, text: str, grammar: _Grammar):
@@ -314,9 +266,6 @@ class _Walker:
 
     def fail(self, message: str) -> NoReturn:
         raise GrammarError(message, self.pos)
-
-    def at_end(self) -> bool:
-        return self.pos >= len(self.text)
 
     def take(self, literal: str) -> bool:
         if self.text.startswith(literal, self.pos):
@@ -328,21 +277,18 @@ class _Walker:
         if not self.take(literal):
             self.fail(f"expected {literal!r}")
 
-    def _boundary_ok(self, end: int) -> bool:
-        return end >= len(self.text) or self.text[end] not in _NAME_CHARS
-
     def take_name(self, candidates: list[tuple[str, int]]) -> int | None:
+        text, pos = self.text, self.pos
         for name, index in candidates:
-            end = self.pos + len(name)
-            if self.text.startswith(name, self.pos) and self._boundary_ok(end):
+            end = pos + len(name)
+            if text.startswith(name, pos) and (end >= len(text) or text[end] not in _NAME_CHARS):
                 self.pos = end
                 return index
         return None
 
     def take_duration(self) -> int:
         start = self.pos
-        while not self.at_end() and self.text[self.pos] in _DIGITS:
-            self.pos += 1
+        self.pos = _DIGITS.match(self.text, start).end()
         if self.pos == start:
             self.fail("expected a duration in seconds")
         try:
@@ -355,7 +301,7 @@ class _Walker:
             self.fail("duration must be positive")
         return value
 
-    def parse_clause(self) -> Triplet | None:
+    def take_clause(self) -> Triplet | None:
         if self.take(NO_INSTRUMENT_CLAUSE):
             return None
         self.expect("the ")
@@ -378,34 +324,52 @@ class _Walker:
                 self.fail("expected a target name")
         return Triplet(instrument, verb, target)
 
-    def parse_segment(self, first: bool) -> PhaseSegment:
-        self.expect("First" if first else "Then")
-        self.expect(", during the ")
-        duration = self.take_duration()
-        self.expect("-second ")
-        phase = self.take_name(self.grammar.phases)
-        if phase is None:
-            self.fail("expected a phase name")
-        self.expect(" phase, ")
-        clauses = [self.parse_clause()]
-        while self.take(" while "):
-            clauses.append(self.parse_clause())
-        self.expect(".")
-        if None in clauses:
-            if len(clauses) > 1:
-                self.fail("the no-instrument clause cannot be combined with actions")
-            actions: tuple[Triplet, ...] = ()
+    def take_segment(self, connective: str) -> PhaseSegment:
+        text, grammar = self.text, self.grammar
+        header = grammar.header.match(text, self.pos)
+        if header is not None and header["connective"] == connective:
+            self.pos = header.start("duration")
+            duration = self.take_duration()
+            phase = grammar.phase_index[header["phase"]]
+            self.pos = header.end()
         else:
-            actions = tuple(clauses)  # type: ignore[arg-type]
-            if len(set(actions)) != len(actions):
-                self.fail("duplicate action within one segment")
-        return PhaseSegment(phase, duration, actions)
+            self.expect(connective)
+            self.expect(", during the ")
+            duration = self.take_duration()
+            self.expect("-second ")
+            phase = self.take_name(grammar.phases)
+            if phase is None:
+                self.fail("expected a phase name")
+            self.expect(" phase, ")
+        triplets, match = grammar.triplets, grammar.clause.match
+        actions = []
+        while clause := match(text, self.pos):
+            try:
+                actions.append(triplets[clause["clause"]])
+            except KeyError:  # a clause text not seen before, read once from the tables
+                actions.append(triplets.setdefault(clause["clause"], self.take_clause()))
+            self.pos = clause.end()
+            if clause["end"] == ".":
+                break
+        else:
+            actions.append(self.take_clause())
+            while self.take(" while "):
+                actions.append(self.take_clause())
+            self.expect(".")
+        if None in actions:
+            if len(actions) > 1:
+                self.fail("the no-instrument clause cannot be combined with actions")
+            actions = []
+        try:
+            return PhaseSegment(phase, duration, tuple(actions))
+        except ValueError:  # a repeated action: the duration is checked above
+            self.fail("duplicate action within one segment")
 
     def parse(self) -> list[PhaseSegment]:
-        segments = [self.parse_segment(first=True)]
-        while not self.at_end():
+        segments = [self.take_segment("First")]
+        while self.pos < len(self.text):
             self.expect(" ")
-            segments.append(self.parse_segment(first=False))
+            segments.append(self.take_segment("Then"))
         return segments
 
 
@@ -416,12 +380,7 @@ def parse_clip_caption(text: str, vocab: Vocabulary) -> list[PhaseSegment]:
     raise GrammarError with the failing character offset. The grammar is
     compiled once per vocabulary, on its first parse.
     """
-    grammar = _grammar(vocab)
-    segments = grammar.match(text)
-    if segments is None:
-        _Walker(text, grammar).parse()
-        raise AssertionError(f"the walker accepts a caption the patterns reject: {text!r}")
-    return segments
+    return _Parser(text, _grammar(vocab)).parse()
 
 
 def write_frame_captions(path: str | Path, captions: list[FrameCaption]) -> int:

@@ -62,6 +62,18 @@ def _write_manifest(config: PipelineConfig, command: str, outputs: list[Path]) -
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
+def _make_output_dir(config: PipelineConfig) -> Path:
+    """The output directory, made if missing; call it once the inputs are checked."""
+    out = config.output_dir()
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file there, or a file among its parents
+        raise ConfigError(
+            f"paths.output_dir must name a directory, got {str(out)!r}: {exc.strerror}"
+        ) from None
+    return out
+
+
 def _check_videos(videos: list[str], known) -> None:
     missing = [v for v in videos if v not in known]
     if missing:
@@ -83,8 +95,7 @@ def _load_records(config: PipelineConfig, videos: list[str] | None):
 def cmd_preprocess(config: PipelineConfig, videos: list[str] | None = None) -> list[Path]:
     """Write frame captions, clip captions, the clip manifest, and durations."""
     records, vocab = _load_records(config, videos)
-    out = config.output_dir()
-    out.mkdir(parents=True, exist_ok=True)
+    out = _make_output_dir(config)
 
     frame_captions = [
         synthesize_frame_caption(frame, vocab) for rec in records for frame in rec.frames
@@ -132,9 +143,7 @@ def cmd_detect(config: PipelineConfig, videos: list[str] | None = None) -> list[
         raise ConfigError("no logits records to process")
     probs = probabilities_from_logits(table.values, config.detection.mode)
     detected = threshold_detect(probs, config.detection.threshold)
-    out = config.output_dir()
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "detections.jsonl"
+    path = _make_output_dir(config) / "detections.jsonl"
     write_detections(path, table, probs, detected, vocab)
     _write_manifest(config, "detect", [path])
     return [path]
@@ -177,8 +186,7 @@ def cmd_calibrate(config: PipelineConfig) -> list[Path]:
         search_range=(config.calibration.t_lo, config.calibration.t_hi),
         bin_count=config.calibration.bins,
     )
-    out = config.output_dir()
-    out.mkdir(parents=True, exist_ok=True)
+    out = _make_output_dir(config)
     outputs = [
         out / "calibration.json",
         out / "reliability_bins_before.csv",
@@ -279,8 +287,7 @@ def cmd_evaluate(config: PipelineConfig) -> list[Path]:
     if not rows:
         raise ConfigError("nothing to evaluate: no generated captions or logits configured")
 
-    out.mkdir(parents=True, exist_ok=True)
-    outputs = [out / "metrics.jsonl", out / "metrics.csv"]
+    outputs = [_make_output_dir(config) / name for name in ("metrics.jsonl", "metrics.csv")]
     write_jsonl(outputs[0], rows)
     columns = ["scope"] + sorted({key for row in rows for key in row} - {"scope"})
     lines = [",".join(columns)]

@@ -17,10 +17,8 @@ from pathlib import Path
 from types import UnionType
 from typing import Literal, get_args, get_origin
 
-import yaml
-
 from .errors import ConfigError
-from .vocab import Vocabulary, default_vocabulary, load_vocabulary
+from .vocab import Vocabulary, default_vocabulary, load_vocabulary, read_yaml
 
 _PHRASES = {bool: "true or false", int: "an integer", str: "a string", type(None): "null"}
 
@@ -143,9 +141,10 @@ class PipelineConfig(_Checked):
     evaluate: EvaluateConfig = field(default_factory=EvaluateConfig)
 
     def vocabulary(self) -> Vocabulary:
-        if self.paths.vocabulary:
-            return load_vocabulary(self.paths.vocabulary)
-        return default_vocabulary()
+        if not self.paths.vocabulary:
+            return default_vocabulary()
+        validate_paths(self, ("vocabulary",))
+        return load_vocabulary(self.paths.vocabulary)
 
     def output_dir(self) -> Path:
         return Path(self.paths.output_dir)
@@ -182,8 +181,7 @@ def load_config(path: str | Path, overrides: dict | None = None) -> PipelineConf
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
-    with open(path, encoding="utf-8") as fh:
-        data = yaml.safe_load(fh) or {}
+    data = read_yaml(path) or {}
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: config must be a mapping")
     for key, value in (overrides or {}).items():

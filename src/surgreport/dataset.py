@@ -19,7 +19,7 @@ from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 
 from .errors import RecordError
-from .jsonl import dump_jsonl, iter_jsonl
+from .jsonl import decode, dump_jsonl, iter_jsonl
 from .vocab import NULL_TARGET_NAME, NULL_TOKEN, NULL_VERB_NAME, Vocabulary
 
 # One annotated frame per second of video.
@@ -137,7 +137,7 @@ def parse_annotations(
     records, unknown label names, and duplicate frame indices raise
     RecordError with the offending line number.
     """
-    text = source.decode("utf-8") if isinstance(source, bytes) else source
+    text = decode(source, source_name) if isinstance(source, bytes) else source
     frames_by_video: dict[str, dict[int, FrameAnnotation]] = {}
     # One Triplet per distinct [instrument, verb, target] list in this source.
     # Only a list is looked up: a dict or a string whose tuple() equals a key

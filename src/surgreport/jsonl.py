@@ -4,7 +4,8 @@ A reader passes its fields as a mapping from name to ``str``, ``int`` or
 ``list``. A line that is not JSON, not an object, lacks a field or holds
 another type raises RecordError at its line. An ``int`` field must be an
 exact integer from 0 to 2**63 - 1 (not a bool or a float): every integer
-field in these files is a frame index or a count.
+field in these files is a frame index or a count. A file that is not UTF-8
+raises RecordError at the line of its first bad byte.
 """
 
 from __future__ import annotations
@@ -39,6 +40,20 @@ def _problem(obj: Any, fields: Mapping[str, type]) -> str | None:
     return None
 
 
+def decode(data: bytes, source: str = "<records>") -> str:
+    """``data`` as UTF-8 text; a byte that is not UTF-8 raises RecordError at its line."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        problem = f"not UTF-8 text: byte {data[exc.start]:#04x} ({exc.reason})"
+        raise RecordError(problem, source, line) from None
+
+
+def read_text(path: str | Path) -> str:
+    return decode(Path(path).read_bytes(), str(path))
+
+
 def iter_jsonl(
     text: str, source: str = "<records>", fields: Mapping[str, type] | None = None
 ) -> Iterator[tuple[int, Any]]:
@@ -62,12 +77,12 @@ def iter_jsonl(
 
 
 def read_jsonl(path: str | Path, fields: Mapping[str, type] | None = None) -> list[Any]:
-    return [obj for _, obj in iter_jsonl(Path(path).read_text(encoding="utf-8"), str(path), fields)]
+    return [obj for _, obj in iter_jsonl(read_text(path), str(path), fields)]
 
 
 def record_line(path: str | Path, index: int) -> int:
     """1-based line number of the record at ``index`` in ``read_jsonl(path)``."""
-    lines = Path(path).read_text(encoding="utf-8").split("\n")
+    lines = read_text(path).split("\n")
     return [n for n, line in enumerate(lines, start=1) if line.strip()][index]
 
 

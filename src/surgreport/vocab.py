@@ -15,6 +15,7 @@ from pathlib import Path
 import yaml
 
 from .errors import ConfigError
+from .jsonl import read_text
 
 # Literal token used in annotation files for an absent verb or target.
 NULL_TOKEN = "null"
@@ -81,21 +82,35 @@ class Vocabulary:
 
 
 def vocabulary_from_mapping(data: dict) -> Vocabulary:
+    names = {}
+    for category in ("instruments", "verbs", "targets", "phases"):
+        if category not in data:
+            raise ConfigError(f"vocabulary file is missing category {category!r}")
+        value = data[category]
+        if type(value) is not list or not all(type(name) is str for name in value):
+            raise ConfigError(f"vocabulary {category} must be a list of names, got {value!r}")
+        names[category] = tuple(value)
+    return Vocabulary(**names)
+
+
+def read_yaml(path: str | Path):
+    """The YAML document in ``path``; a file that cannot be read or parsed is one ConfigError."""
     try:
-        return Vocabulary(
-            instruments=tuple(data["instruments"]),
-            verbs=tuple(data["verbs"]),
-            targets=tuple(data["targets"]),
-            phases=tuple(data["phases"]),
-        )
-    except KeyError as exc:
-        raise ConfigError(f"vocabulary file is missing category {exc}") from None
+        text = read_text(path)
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc.strerror}") from None
+    try:
+        return yaml.safe_load(text)
+    except yaml.YAMLError as exc:
+        mark = getattr(exc, "problem_mark", None)
+        where = f"{path}:{mark.line + 1}" if mark else str(path)
+        problem = getattr(exc, "problem", None) or str(exc).splitlines()[0]
+        raise ConfigError(f"{where}: not valid YAML: {problem}") from None
 
 
 def load_vocabulary(path: str | Path) -> Vocabulary:
     """Load a vocabulary file (one YAML list per category)."""
-    with open(path, encoding="utf-8") as fh:
-        data = yaml.safe_load(fh)
+    data = read_yaml(path)
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: vocabulary file must map categories to name lists")
     return vocabulary_from_mapping(data)

@@ -12,6 +12,7 @@ from surgreport.captions import (
     ClipCaption,
     PhaseSegment,
     VERB_FORMS,
+    _grammar,
     parse_clip_caption,
     read_clip_captions,
     read_frame_captions,
@@ -622,3 +623,71 @@ def test_each_distinct_clause_is_one_triplet(vocab):
     assert first.actions == then.actions
     again = parse_clip_caption(text, vocab)
     assert again[0].actions[0] is first.actions[0]
+
+
+# Three segments of two or three clauses each. A pattern that fails past the
+# first clause of a later segment hands over to the literal reader mid-caption.
+_THREE_SEGMENTS = (
+    "First, during the 5-second preparation phase, the grasper holds the gallbladder "
+    "while the hook is present. Then, during the 10-second calot-triangle-dissection phase, "
+    "the grasper continues to hold the gallbladder while the hook dissects the cystic_plate "
+    "while the bipolar coagulates the liver. Then, during the 3-second clipping-and-cutting "
+    "phase, the clipper clips the cystic_duct while the hook remains present."
+)
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ("the hook dissects", "the drill dissects"),
+        ("the hook dissects", "the hook levitates"),
+        ("dissects the cystic_plate", "dissects the moon"),
+        ("dissects the cystic_plate", "dissects the cystic_platex"),
+        ("coagulates the liver. Then", "coagulates the liver Then"),
+        ("the liver. Then", "the liver. Than"),
+        ("the liver. Then", "the liver. First"),
+        ("the 3-second", "the 0-second"),
+        ("the 3-second", "the 007-second"),
+        ("the bipolar coagulates the liver.", "the hook dissects the cystic_plate."),
+        ("the hook remains present.", "the hook remains present"),
+        ("the hook remains present.", "the hook remains presently."),
+        ("the hook remains present.", "the hook remains present while no instrument is active."),
+    ],
+)
+def test_later_segment_parses_as_the_oracle_does(vocab, warm, old, new):
+    """The switch from pattern to literal reading after a matched header and clauses."""
+    assert old in _THREE_SEGMENTS
+    text = _THREE_SEGMENTS.replace(old, new, 1)
+    _grammar.cache_clear()
+    if warm:
+        parse_clip_caption(_THREE_SEGMENTS, vocab)
+    _assert_parsers_agree(text, vocab)
+
+
+def test_later_segment_with_4301_duration_digits(vocab):
+    text = _THREE_SEGMENTS.replace("the 3-second", f"the {'9' * 4301}-second")
+    offset = text.index("9999")
+    with pytest.raises(GrammarError) as exc:
+        parse_clip_caption(text, vocab)
+    assert str(exc.value) == f"offset {offset}: duration has too many digits"
+
+
+def test_rejected_captions_leave_only_valid_clauses_in_the_memo(vocab):
+    _grammar.cache_clear()
+    rejected = [
+        _THREE_SEGMENTS.replace("the cystic_plate", "the cystic_platex"),
+        _THREE_SEGMENTS.replace("the hook is present.", "the hook is presentt."),
+        _THREE_SEGMENTS.replace("while the bipolar", "while thebipolar"),
+        _THREE_SEGMENTS.replace("the hook remains present.", "the hook remains present"),
+    ]
+    for text in rejected:
+        with pytest.raises(GrammarError):
+            parse_clip_caption(text, vocab)
+    assert parse_clip_caption(_THREE_SEGMENTS, vocab) == _parse_clip_caption_oracle(
+        _THREE_SEGMENTS, vocab
+    )
+    for clause, triplet in _grammar(vocab).triplets.items():
+        alone = f"First, during the 1-second preparation phase, {clause}."
+        (segment,) = _parse_clip_caption_oracle(alone, vocab)
+        assert segment.actions == (() if triplet is None else (triplet,)), clause

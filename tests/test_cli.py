@@ -543,6 +543,17 @@ BAD_RECORDS = {
         '["VID01", 2]',
         "record must be a JSON object",
     ),
+    # "\udcff" is written as the byte 0xff, which no UTF-8 text holds.
+    "annotations-not-utf8": (
+        "annotations", "preprocess",
+        '{"video_id": "VID01", "frame": 2, "phase": "prep\udcffaration", "triplets": []}',
+        "not UTF-8 text: byte 0xff (invalid start byte)",
+    ),
+    "logits-not-utf8": (
+        "logits", "detect",
+        '{"video_id": "VID01\udcff", "frame": 2, "logits": []}',
+        "not UTF-8 text: byte 0xff (invalid start byte)",
+    ),
     "frame-captions-missing-field": (
         "frame_captions", "evaluate",
         '{"video_id": "VID01", "frame": 2}',
@@ -557,6 +568,11 @@ BAD_RECORDS = {
         "frame_captions", "evaluate",
         '"During phase preparation"',
         "record must be a JSON object",
+    ),
+    "frame-captions-not-utf8": (
+        "frame_captions", "evaluate",
+        '{"video_id": "VID01", "frame": 2, "text": "During phase \udcff"}',
+        "not UTF-8 text: byte 0xff (invalid start byte)",
     ),
     "clip-captions-string-start": (
         "clip_captions", "evaluate",
@@ -635,13 +651,14 @@ BAD_RECORDS = {
 def _replace_line(path, lineno, text):
     lines = path.read_text(encoding="utf-8").splitlines()
     lines[lineno - 1] = text
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8", errors="surrogateescape")
 
 
 @pytest.mark.parametrize("case", sorted(BAD_RECORDS))
 def test_bad_records_end_in_error_line(workspace, vocab, capsys, case):
     kind, command, bad_line, message = BAD_RECORDS[case]
-    tmp_path, _, annotations, out, config = workspace
+    logits, _, config = _logits_workspace(workspace, vocab)
+    tmp_path, _, annotations, out, _ = workspace
     assert main(["preprocess", "--config", config]) == 0
     generated = {
         name: tmp_path / f"generated_{name}.jsonl" for name in ("frame_captions", "clip_captions")
@@ -654,12 +671,15 @@ def test_bad_records_end_in_error_line(workspace, vocab, capsys, case):
         tmp_path / "config.yaml",
         paths={
             "annotations": str(annotations),
+            "logits": str(logits),
             "output_dir": str(out),
             "embeddings": str(embeddings),
         },
         evaluate={f"generated_{name}": str(path) for name, path in generated.items()},
     )
-    bad_file = {"annotations": annotations, "embeddings": embeddings, **generated}[kind]
+    bad_file = {
+        "annotations": annotations, "logits": logits, "embeddings": embeddings, **generated
+    }[kind]
     if command == "report":
         bad_file = out / f"{kind}.jsonl"
     _replace_line(bad_file, 3, bad_line)
@@ -873,7 +893,28 @@ CONFIG_PROBES = {
                            "detection.threshold must be a number in [0, 1], got nan"),
     "flag-threshold-above-1": ("detect", {}, ["--threshold", "1.5"],
                                "detection.threshold must be a number in [0, 1], got 1.5"),
+    # Relative paths name files in the workspace, the working directory of the probe.
+    "vocabulary-missing": ("preprocess", {"paths": {"vocabulary": "nope.yaml"}}, [],
+                           "paths.vocabulary does not exist: nope.yaml"),
+    "vocabulary-directory": ("preprocess", {"paths": {"vocabulary": "."}}, [],
+                             "cannot read .: Is a directory"),
+    "vocabulary-malformed": (
+        "preprocess", {"paths": {"vocabulary": "malformed.yaml"}}, [],
+        "malformed.yaml:2: not valid YAML: expected the node content, but found '<stream end>'",
+    ),
+    "vocabulary-instruments-5": ("report", {"paths": {"vocabulary": "instruments_5.yaml"}}, [],
+                                 "vocabulary instruments must be a list of names, got 5"),
+    # A string is the whole text of the probe config.
+    "config-malformed": (
+        "detect", "paths: [\n", [],
+        "probe.yaml:2: not valid YAML: expected the node content, but found '<stream end>'",
+    ),
+    "output_dir-a-file": (
+        "preprocess", {"paths": {"output_dir": "annotations.jsonl"}}, [],
+        "paths.output_dir must name a directory, got 'annotations.jsonl': File exists",
+    ),
 }
+PROBE_FILES = {"malformed.yaml": "instruments: [\n", "instruments_5.yaml": "instruments: 5\n"}
 
 
 @pytest.mark.parametrize("case", list(CONFIG_PROBES))
@@ -884,11 +925,17 @@ def test_bad_config_value_is_one_error_line_at_load(workspace, vocab, monkeypatc
     if command in ("report", "evaluate"):
         assert main(["preprocess", "--config", config]) == 0
     paths = {"annotations": str(annotations), "logits": str(logits_path), "output_dir": str(out)}
-    probe = write_config(
-        tmp_path / "probe.yaml", **{**sections, "paths": {**paths, **sections.get("paths", {})}}
-    )
+    if isinstance(sections, str):
+        (tmp_path / "probe.yaml").write_text(sections, encoding="utf-8")
+    else:
+        write_config(
+            tmp_path / "probe.yaml", **{**sections, "paths": {**paths, **sections.get("paths", {})}}
+        )
+    for name, text in PROBE_FILES.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
     # A relative output_dir would land in the working directory, which is checked too.
     monkeypatch.chdir(tmp_path)
+    probe = "probe.yaml"
     monkeypatch.setenv("SURGREPORT_API_KEY", "k")
     before = sorted(tmp_path.rglob("*"))
     capsys.readouterr()

@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 import yaml
 
-from surgreport.errors import ConfigError
+from surgreport.errors import ConfigError, SurgReportError
 from surgreport.vocab import Vocabulary, default_vocabulary, load_vocabulary
 
 
@@ -70,3 +70,44 @@ def test_load_vocabulary_missing_category(tmp_path):
     path.write_text(yaml.safe_dump({"instruments": ["a"] * 6}), encoding="utf-8")
     with pytest.raises(ConfigError, match="missing category"):
         load_vocabulary(path)
+
+
+@pytest.mark.parametrize(
+    "instruments", [5, "grasper", ["a", "b", "c", "d", "e", 6], None, {"a": 1}]
+)
+def test_load_vocabulary_category_must_list_name_strings(tmp_path, vocab, instruments):
+    data = {
+        "instruments": instruments,
+        "verbs": list(vocab.verbs),
+        "targets": list(vocab.targets),
+        "phases": list(vocab.phases),
+    }
+    path = tmp_path / "vocab.yaml"
+    path.write_text(yaml.safe_dump(data), encoding="utf-8")
+    with pytest.raises(ConfigError) as exc:
+        load_vocabulary(path)
+    assert str(exc.value) == f"vocabulary instruments must be a list of names, got {instruments!r}"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("instruments: [\n", ":2: not valid YAML: expected the node content, but found '<stream end>'"),
+        ("a: 1\n\tb: 2\n", ":2: not valid YAML: found character '\\t' that cannot start any token"),
+        ("a: \x00\n", ": not valid YAML: unacceptable character #x0000: special characters are not allowed"),
+    ],
+)
+def test_load_vocabulary_bad_yaml_is_one_line(tmp_path, text, message):
+    path = tmp_path / "vocab.yaml"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ConfigError) as exc:
+        load_vocabulary(path)
+    assert str(exc.value) == f"{path}{message}"
+
+
+def test_load_vocabulary_not_utf8_names_the_line(tmp_path):
+    path = tmp_path / "vocab.yaml"
+    path.write_bytes(b"instruments:\n  - gr\xffasper\n")
+    with pytest.raises(SurgReportError) as exc:
+        load_vocabulary(path)
+    assert str(exc.value) == f"{path}:2: not UTF-8 text: byte 0xff (invalid start byte)"
