@@ -237,7 +237,7 @@ def _caption_pairs(generated_path: str, reference_path: str, kind: str) -> list[
 
 
 def _detection_report(config: PipelineConfig, vocab) -> dict | None:
-    if not config.paths.logits or not Path(config.paths.logits).exists():
+    if not config.paths.logits:
         return None
     records, _ = _load_records(config, None)
     table = read_logits(config.paths.logits)
@@ -261,6 +261,8 @@ def cmd_evaluate(config: PipelineConfig) -> list[Path]:
     vocab = config.vocabulary()
     out = config.output_dir()
     evaluate = config.evaluate
+    if config.paths.logits:
+        validate_paths(config, ("logits",))
     table = None
     if config.paths.embeddings:
         validate_paths(config, ("embeddings",))

@@ -184,15 +184,23 @@ def parse_annotations(
 
 
 def load_annotations(path: str | Path, vocab: Vocabulary) -> list[VideoRecord]:
-    """Load one annotation file, or every ``*.jsonl`` file in a directory."""
+    """Load one annotation file, or every ``*.jsonl`` file in a directory.
+
+    A video id found in two files is an error, not a merge.
+    """
     path = Path(path)
     if path.is_dir():
         files = sorted(path.glob("*.jsonl"))
         if not files:
             raise RecordError("no annotation files found", str(path))
         records: list[VideoRecord] = []
+        source: dict[str, Path] = {}  # video id -> its file
         for file in files:
-            records.extend(parse_annotations(file.read_bytes(), vocab, str(file)))
+            for record in parse_annotations(file.read_bytes(), vocab, str(file)):
+                earlier = source.setdefault(record.video_id, file)
+                if earlier != file:
+                    raise RecordError(f"video {record.video_id} is already in {earlier}", str(file))
+                records.append(record)
         return records
     return parse_annotations(path.read_bytes(), vocab, str(path))
 

@@ -5,9 +5,13 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from surgreport.calibration import (
+    DEFAULT_SEARCH_RANGE,
     ReliabilityBins,
+    _nll_slope,
     bins_csv,
     confidence_correctness,
     ece,
@@ -214,3 +218,106 @@ def test_bins_csv_header_and_rows():
     lines = text.strip().splitlines()
     assert lines[0] == "bin_lo,bin_hi,count,conf,acc"
     assert len(lines) == 5
+
+
+def _fit_temperature_oracle(z, bits, mode, search_range=DEFAULT_SEARCH_RANGE, tolerance=1e-4):
+    """Reference fit: a 64-point scan over log T, then golden-section search
+    of the best cell to `tolerance` in log T, with T = 1 kept when no worse."""
+    t_lo, t_hi = search_range
+
+    def objective(u):
+        return nll(z, bits, math.exp(u), mode)
+
+    grid = np.linspace(math.log(t_lo), math.log(t_hi), 64)
+    best = int(np.argmin([objective(u) for u in grid]))
+    a, b = grid[max(best - 1, 0)], grid[min(best + 1, len(grid) - 1)]
+    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    c, d = b - inv_phi * (b - a), a + inv_phi * (b - a)
+    fc, fd = objective(c), objective(d)
+    while b - a > tolerance:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - inv_phi * (b - a)
+            fc = objective(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + inv_phi * (b - a)
+            fd = objective(d)
+    t_star = math.exp((a + b) / 2.0)
+    if t_lo <= 1.0 <= t_hi and nll(z, bits, 1.0, mode) <= nll(z, bits, t_star, mode):
+        t_star = 1.0
+    return t_star
+
+
+def _labelled_logits(rng, n, k, mode):
+    """Logits and labels drawn from them: sigmoid bits per class; for softmax
+    one sampled class per row, with some rows emptied and some given extras."""
+    z = rng.normal(0.0, 1.5, size=(n, k))
+    if mode == "sigmoid":
+        return z, (rng.random((n, k)) < 1.0 / (1.0 + np.exp(-z))).astype(float)
+    probs = np.exp(z - z.max(axis=1, keepdims=True))
+    probs /= probs.sum(axis=1, keepdims=True)
+    bits = np.zeros((n, k))
+    bits[np.arange(n), (probs.cumsum(axis=1) < rng.random((n, 1))).sum(axis=1).clip(max=k - 1)] = 1
+    bits[rng.random(n) < 0.2] = 0.0
+    bits[rng.random((n, k)) < 0.1] = 1.0
+    return z, bits
+
+
+@pytest.mark.filterwarnings("ignore:validation labels are constant")
+@settings(max_examples=200, deadline=None)
+@given(
+    mode=st.sampled_from(["softmax", "sigmoid"]),
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 80),
+    k=st.integers(1, 8),
+    sharpen=st.floats(0.1, 10.0),
+    t_lo=st.floats(0.2, 2.0),
+    widen=st.floats(1.5, 10.0),
+)
+def test_fit_temperature_matches_grid_oracle(mode, seed, n, k, sharpen, t_lo, widen):
+    # Logits within +-5 and T >= 0.2 keep every sigmoid probability above
+    # the nll clip, where the clipped and unclipped objectives agree.
+    rng = np.random.default_rng(seed)
+    z, bits = _labelled_logits(rng, n, k, mode)
+    logits = np.clip(z * sharpen, -5.0, 5.0)
+    search_range = (t_lo, t_lo * widen)
+    t_new = fit_temperature(logits, bits, mode, search_range).temperature
+    t_old = _fit_temperature_oracle(logits, bits, mode, search_range)
+    assert search_range[0] <= t_new <= search_range[1]
+    assert nll(logits, bits, t_new, mode) <= nll(logits, bits, t_old, mode) + 1e-12
+    _, curvature = _nll_slope(logits, bits, 1.0 / t_new, mode)
+    interior = search_range[0] * 1.001 < t_old < search_range[1] / 1.001
+    if interior and t_old != 1.0 and curvature > 1e-3:
+        assert abs(t_new - t_old) / t_old <= 1e-3
+
+
+@pytest.mark.parametrize("mode", ["softmax", "sigmoid"])
+def test_nll_slope_matches_finite_differences(mode):
+    rng = np.random.default_rng(11)
+    z, bits = _labelled_logits(rng, 300, 6, mode)
+    h = 1e-4
+    for beta in (0.4, 1.0, 2.5):
+        f = [nll(z, bits, 1.0 / (beta + i * h), mode) for i in (-1, 0, 1)]
+        slope, curvature = _nll_slope(z, bits, beta, mode)
+        assert slope == pytest.approx((f[2] - f[0]) / (2 * h), rel=1e-6, abs=1e-9)
+        assert curvature == pytest.approx((f[2] - 2 * f[1] + f[0]) / h**2, rel=1e-4)
+
+
+@pytest.mark.parametrize("mode", ["softmax", "sigmoid"])
+def test_fit_temperature_all_zero_logits_keep_unit_scale(mode):
+    bits = np.eye(4)[[0, 1, 2, 3, 1]]
+    assert fit_temperature(np.zeros((5, 4)), bits, mode).temperature == 1.0
+
+
+@pytest.mark.parametrize("search_range", [DEFAULT_SEARCH_RANGE, (0.5, 7.28)])
+def test_fit_temperature_optimum_beyond_range_gives_its_end(search_range):
+    # Labels on the lowest logit: the NLL falls as T grows without bound.
+    # 1 / (1 / 7.28) != 7.28 in floating point, so the end is not recovered
+    # from beta by division.
+    z = np.random.default_rng(12).normal(0.0, 2.0, size=(200, 5))
+    result = fit_temperature(z, z.argmin(axis=1), "softmax", search_range)
+    assert result.temperature == search_range[1]
+    # Labels on the top logit of well-separated rows: the NLL falls as T shrinks.
+    result = fit_temperature(z * 3.0, z.argmax(axis=1), "softmax", search_range)
+    assert result.temperature == search_range[0]

@@ -68,6 +68,52 @@ def test_preprocess_empty_annotation_dir_fails(tmp_path, capsys):
     assert "no annotation files" in capsys.readouterr().err
 
 
+def _annotation_dir(tmp_path, vocab, records, split):
+    """Write records[:split] to a.jsonl and records[split:] to b.jsonl."""
+    directory = tmp_path / "annotations"
+    directory.mkdir()
+    write_annotations(directory / "a.jsonl", records[:split], vocab)
+    write_annotations(directory / "b.jsonl", records[split:], vocab)
+    return directory
+
+
+def test_preprocess_annotation_dir_matches_one_file(tmp_path, vocab):
+    records = make_corpus(vocab, n_videos=3, n_frames=40, seed=4)
+    single = tmp_path / "all.jsonl"
+    write_annotations(single, records, vocab)
+    directory = _annotation_dir(tmp_path, vocab, records, 2)
+    outputs = []
+    for name, annotations in (("one", single), ("dir", directory)):
+        out = tmp_path / name
+        config = write_config(
+            tmp_path / f"{name}.yaml", paths={"annotations": str(annotations), "output_dir": str(out)}
+        )
+        assert main(["preprocess", "--config", config]) == 0
+        outputs.append(out)
+    for name in ("frame_captions.jsonl", "clip_captions.jsonl", "phase_durations.csv"):
+        assert (outputs[0] / name).read_bytes() == (outputs[1] / name).read_bytes()
+    assert len(read_jsonl(outputs[1] / "frame_captions.jsonl")) == 120
+
+
+@pytest.mark.parametrize("case", ["empty", "repeated-video"])
+def test_bad_annotation_dir_is_one_error_line(tmp_path, vocab, capsys, case):
+    if case == "empty":
+        directory = tmp_path / "annotations"
+        directory.mkdir()
+        message = f"{directory}: no annotation files found"
+    else:
+        records = make_corpus(vocab, n_videos=2, n_frames=40, seed=4)
+        directory = _annotation_dir(tmp_path, vocab, [*records, records[0]], 2)
+        message = f"{directory / 'b.jsonl'}: video VID01 is already in {directory / 'a.jsonl'}"
+    out = tmp_path / "out"
+    config = write_config(
+        tmp_path / "config.yaml", paths={"annotations": str(directory), "output_dir": str(out)}
+    )
+    assert main(["preprocess", "--config", config]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def _tree_digest(root):
     digest = {}
     for path in sorted(root.rglob("*")):
@@ -912,6 +958,13 @@ CONFIG_PROBES = {
     "output_dir-a-file": (
         "preprocess", {"paths": {"output_dir": "annotations.jsonl"}}, [],
         "paths.output_dir must name a directory, got 'annotations.jsonl': File exists",
+    ),
+    # Captions to score as well, so the missing logits cannot go unnoticed.
+    "evaluate-logits-missing": (
+        "evaluate",
+        {"paths": {"logits": "nope.jsonl"},
+         "evaluate": {"generated_frame_captions": "out/frame_captions.jsonl"}},
+        [], "paths.logits does not exist: nope.jsonl",
     ),
 }
 PROBE_FILES = {"malformed.yaml": "instruments: [\n", "instruments_5.yaml": "instruments: 5\n"}

@@ -12,7 +12,10 @@ any score, even in the last bit, fails here.
   and softmax mode and with a threshold override: recorded with the
   per-frame detection path (one squash and one threshold call per logits
   row, per-frame `(score, bit)` lists for AP); the columnar logits table
-  reproduces them.
+  reproduces them. The `calibration.json` and `reliability_bins_after.csv`
+  digests were re-recorded when the grid and golden-section temperature
+  search gave way to the Newton solve: T moved to the exact NLL minimum
+  (by under 3e-5 relative, with a lower NLL), and nothing else changed.
 - The clip captions of `preprocess` and every file `report` writes, offline
   and from a stub endpoint: recorded with the run-variable phase grouping,
   the per-frame merge dicts and the retry loop with a `response = None`
@@ -178,25 +181,25 @@ DETECTION_OUTPUTS = {
 DETECTION_GOLDEN_SHA256 = {
     "sigmoid": {
         "detections.jsonl": "aa418b063d1f53e5c993ca62fdcc65f04c8a909beb85f26b081b7382353a6c08",
-        "calibration.json": "2ba79051bdc36962cde56fe005487258a89fe87ce925a21707731bb8fdceb69a",
+        "calibration.json": "9b2e0a9024a936a7d8dc11b282ca164e43736129a3886114e15224c9b9de17bf",
         "reliability_bins_before.csv": "b65ca63521c14b7449690eb95d1ed8f4222633547144d0aef458cbe41cbdff2c",
-        "reliability_bins_after.csv": "0fc294273c37301121ce6b37258eac03ccabc9e86ff28b3de3478f9fef59dd12",
+        "reliability_bins_after.csv": "f165e94875183c4846d333f6deb4be36a3e4bb1fc85f9531b9fa66196117e83c",
         "metrics.jsonl": "0782ac2876e8b1e2947eac15c1be8785a92dffe293455c6372f6ad5a5a5f1e0f",
         "metrics.csv": "59356db080abab7fef97ec46246eca80d1198dea7094f6ed7e16fa9e0bca3fee",
     },
     "sigmoid-threshold": {
         "detections.jsonl": "029c073a04c7807e77639d2a7622a8a6dc127ae547caf7d2efa6d4a3691142ca",
-        "calibration.json": "2ba79051bdc36962cde56fe005487258a89fe87ce925a21707731bb8fdceb69a",
+        "calibration.json": "9b2e0a9024a936a7d8dc11b282ca164e43736129a3886114e15224c9b9de17bf",
         "reliability_bins_before.csv": "b65ca63521c14b7449690eb95d1ed8f4222633547144d0aef458cbe41cbdff2c",
-        "reliability_bins_after.csv": "0fc294273c37301121ce6b37258eac03ccabc9e86ff28b3de3478f9fef59dd12",
+        "reliability_bins_after.csv": "f165e94875183c4846d333f6deb4be36a3e4bb1fc85f9531b9fa66196117e83c",
         "metrics.jsonl": "6256b8040df62bb444e4ff03e269de211e45c8dc8e6587de8b71ff3fb079810b",
         "metrics.csv": "211b645a17f5808d10bfbee1ac687537526f5d0096d227c042699cb9f50f98d7",
     },
     "softmax": {
         "detections.jsonl": "419fbb1d7e5e4387639667dc4410b2e9c5beec8a1fae2b99e32de6118d57c161",
-        "calibration.json": "404a39b5874fdd2257a90efe8c466a5e29a8b1acdca84692ee10c920c0f72025",
+        "calibration.json": "3944214f0a76b3c9fe7dfa807179da201d4ce4addaf30da45f070d178a6590f5",
         "reliability_bins_before.csv": "1417e00661411fe8f6fd1e5f215e9d487bd65c6a41ab62f0ed5b64b5eb34f48a",
-        "reliability_bins_after.csv": "806e7a25418a9512c128eaab9a4852768b01e4acb1daa4852f0f12401a1cb92d",
+        "reliability_bins_after.csv": "f8feed9bfc95c46734aee984f1c67b25c9ef3ce8ddf42f611c372e8a24950002",
         "metrics.jsonl": "f4bbd97fc9dbc96dfdbdf3f95ed1fff05b173e77034d46563b4f5905dd8918a7",
         "metrics.csv": "6d76578de4e7663a1447a55ca08d7f09b6a5131add91d2b67e691e8b8f16ecac",
     },
