@@ -36,7 +36,7 @@ from typing import NamedTuple, NoReturn
 
 from .dataset import FrameAnnotation, Triplet
 from .errors import GrammarError, RecordError
-from .jsonl import read_jsonl, record_line, write_jsonl
+from .jsonl import read_jsonl, stream_jsonl, write_jsonl
 from .vocab import NULL_VERB_NAME, Vocabulary
 from .windowing import ClipWindow
 
@@ -409,10 +409,10 @@ def read_clip_captions(path: str | Path, vocab: Vocabulary | None = None) -> lis
     """Load clip captions; segments are reparsed from text when a vocabulary is given."""
     captions = []
     fields = {"video_id": str, "start_frame": int, "text": str}
-    for index, obj in enumerate(read_jsonl(path, fields)):
+    for lineno, obj in stream_jsonl(path, fields):
         try:
             segments = tuple(parse_clip_caption(obj["text"], vocab)) if vocab is not None else ()
         except GrammarError as exc:
-            raise RecordError(str(exc), str(path), record_line(path, index)) from None
+            raise RecordError(str(exc), str(path), lineno) from None
         captions.append(ClipCaption(obj["video_id"], obj["start_frame"], segments, obj["text"]))
     return captions

@@ -14,12 +14,13 @@ sees a single representation.
 from __future__ import annotations
 
 import random
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 
 from .errors import RecordError
-from .jsonl import decode, dump_jsonl, iter_jsonl
+from .jsonl import dump_jsonl, iter_jsonl, stream_jsonl, write_jsonl
 from .vocab import NULL_TARGET_NAME, NULL_TOKEN, NULL_VERB_NAME, Vocabulary
 
 # One annotated frame per second of video.
@@ -137,7 +138,13 @@ def parse_annotations(
     records, unknown label names, and duplicate frame indices raise
     RecordError with the offending line number.
     """
-    text = decode(source, source_name) if isinstance(source, bytes) else source
+    return _video_records(iter_jsonl(source, source_name, _ANNOTATION_FIELDS), vocab, source_name)
+
+
+def _video_records(
+    records: Iterable[tuple[int, dict]], vocab: Vocabulary, source_name: str
+) -> list[VideoRecord]:
+    """Validated video records from numbered annotation records, consumed one at a time."""
     frames_by_video: dict[str, dict[int, FrameAnnotation]] = {}
     # One Triplet per distinct [instrument, verb, target] list in this source.
     # Only a list is looked up: a dict or a string whose tuple() equals a key
@@ -155,7 +162,7 @@ def parse_annotations(
         except TypeError:  # an unhashable component, which names no label
             return _parse_triplet(raw, vocab)
 
-    for lineno, obj in iter_jsonl(text, source_name, _ANNOTATION_FIELDS):
+    for lineno, obj in records:
         video_id, frame_index = obj["video_id"], obj["frame"]
         if not video_id:
             raise RecordError("video_id must be a non-empty string", source_name, lineno)
@@ -196,13 +203,17 @@ def load_annotations(path: str | Path, vocab: Vocabulary) -> list[VideoRecord]:
         records: list[VideoRecord] = []
         source: dict[str, Path] = {}  # video id -> its file
         for file in files:
-            for record in parse_annotations(file.read_bytes(), vocab, str(file)):
+            for record in _load_file(file, vocab):
                 earlier = source.setdefault(record.video_id, file)
                 if earlier != file:
                     raise RecordError(f"video {record.video_id} is already in {earlier}", str(file))
                 records.append(record)
         return records
-    return parse_annotations(path.read_bytes(), vocab, str(path))
+    return _load_file(path, vocab)
+
+
+def _load_file(path: Path, vocab: Vocabulary) -> list[VideoRecord]:
+    return _video_records(stream_jsonl(path, _ANNOTATION_FIELDS), vocab, str(path))
 
 
 def annotation_record(frame: FrameAnnotation, vocab: Vocabulary) -> dict:
@@ -223,15 +234,17 @@ def annotation_record(frame: FrameAnnotation, vocab: Vocabulary) -> dict:
     }
 
 
+def _annotation_records(records: list[VideoRecord], vocab: Vocabulary) -> Iterator[dict]:
+    return (annotation_record(frame, vocab) for record in records for frame in record.frames)
+
+
 def serialize_annotations(records: list[VideoRecord], vocab: Vocabulary) -> str:
     """Inverse of parse_annotations; parse(serialize(x)) == x."""
-    return dump_jsonl(
-        annotation_record(frame, vocab) for record in records for frame in record.frames
-    )
+    return dump_jsonl(_annotation_records(records, vocab))
 
 
 def write_annotations(path: str | Path, records: list[VideoRecord], vocab: Vocabulary) -> None:
-    Path(path).write_text(serialize_annotations(records, vocab), encoding="utf-8")
+    write_jsonl(path, _annotation_records(records, vocab))
 
 
 def _largest_remainder_counts(total: int, ratios: tuple[float, float, float]) -> list[int]:

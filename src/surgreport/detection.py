@@ -7,15 +7,19 @@ evaluates the class-weighted binary cross-entropy.
 
 A logits file loads into one columnar ``LogitsTable``: ``video_ids`` and
 ``frames`` with one entry per row, and ``values``, a float matrix of shape
-(N, 21). ``read_logits`` checks the whole table in one vectorized pass (row
-width, finiteness, duplicate (video, frame) keys) and reports the first bad
-record with its file and line. Squashing and thresholding work on any array
-whose last axis is the class axis, so the pipeline makes one call of each
-per table, and ``threshold_detect`` returns a boolean mask of the same shape.
+(N, 21). ``read_logits`` fills those columns one record at a time, checking
+row width and numbers as it goes, then checks the whole table in one
+vectorized pass (finiteness, duplicate (video, frame) keys); it reports the
+first bad record with its file and line. Squashing and thresholding work on
+any array whose last axis is the class axis, so the pipeline makes one call
+of each per table, and ``threshold_detect`` returns a boolean mask of the
+same shape.
 """
 
 from __future__ import annotations
 
+from array import array
+from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import compress
 from pathlib import Path
@@ -24,7 +28,8 @@ import numpy as np
 
 from .dataset import FrameAnnotation
 from .errors import RecordError
-from .jsonl import read_jsonl, record_line, write_jsonl
+# ``read_jsonl`` is unused here; bench/tracer.py patches it in this module by name.
+from .jsonl import read_jsonl, record_line, stream_jsonl, write_jsonl  # noqa: F401
 from .vocab import Vocabulary
 
 N_DETECTION_CLASSES = 21
@@ -240,44 +245,43 @@ def truth_bits(frame: FrameAnnotation, vocab: Vocabulary) -> np.ndarray:
 _LOGITS_FIELDS = {"video_id": str, "frame": int, "logits": list}
 
 
-def _is_logits_row(row: list) -> bool:
-    try:
-        return np.array(row, dtype=float).shape == (N_DETECTION_CLASSES,)
-    except (TypeError, ValueError, OverflowError):
-        return False
-
-
 def read_logits(path: str | Path) -> LogitsTable:
     """Load a line-delimited logits file (video_id, frame, 21 floats per record).
 
-    Field types are checked as each record is read; then every row at once:
-    row width, numbers, finiteness, and that no (video_id, frame) key
-    repeats. The first failing record raises RecordError with the file name
-    and its line number.
+    The file is read one record at a time: field types, row width and that
+    the logits are numbers are checked as each record is read; then every
+    row at once: finiteness, and that no (video_id, frame) key repeats. The
+    first failing record raises RecordError with the file name and its line
+    number.
     """
-    objs = read_jsonl(path, _LOGITS_FIELDS)
+    source = str(path)
+    names: dict[str, str] = {}  # one str per video id, not one per row
+    ids: list[str] = []
+    frames = array("q")
+    lineno = 0
+
+    def rows() -> Iterator[list]:
+        nonlocal lineno
+        for lineno, obj in stream_jsonl(path, _LOGITS_FIELDS):
+            row = obj["logits"]
+            if len(row) != N_DETECTION_CLASSES:
+                message = f"expected {N_DETECTION_CLASSES} logits, got {len(row)}"
+                raise RecordError(message, source, lineno)
+            video_id = obj["video_id"]
+            ids.append(names.setdefault(video_id, video_id))
+            frames.append(obj["frame"])
+            yield row
+
+    try:
+        # Each row is converted as it is read, into one growing float matrix.
+        values = np.fromiter(rows(), dtype=np.dtype((float, N_DETECTION_CLASSES)))
+    except (TypeError, ValueError, OverflowError):
+        raise RecordError("logits must be numbers", source, lineno) from None
 
     def fail(index: int, message: str) -> RecordError:
-        return RecordError(message, str(path), record_line(path, index))
+        return RecordError(message, source, record_line(path, index))
 
-    ids = [obj["video_id"] for obj in objs]
-    frames = [obj["frame"] for obj in objs]
-    rows = [obj["logits"] for obj in objs]
-    try:
-        values = np.array(rows, dtype=float)
-        wellformed = values.shape[1:] == (N_DETECTION_CLASSES,) or not rows
-    except (TypeError, ValueError, OverflowError):
-        wellformed = False
-    if not wellformed:
-        i, row = next((i, row) for i, row in enumerate(rows) if not _is_logits_row(row))
-        if len(row) != N_DETECTION_CLASSES:
-            raise fail(i, f"expected {N_DETECTION_CLASSES} logits, got {len(row)}")
-        raise fail(i, "logits must be numbers")
-    table = LogitsTable(
-        np.array(ids, dtype=str),
-        np.array(frames, dtype=np.int64),
-        values.reshape(len(rows), N_DETECTION_CLASSES),
-    )
+    table = LogitsTable(np.array(ids, dtype=str), np.array(frames, dtype=np.int64), values)
 
     nonfinite = np.flatnonzero(~np.isfinite(table.values).all(axis=1))
     if nonfinite.size:

@@ -20,7 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import RecordError
-from .jsonl import read_jsonl, record_line, write_jsonl
+# ``read_jsonl`` is unused here; bench/tracer.py patches it in this module by name.
+from .jsonl import read_jsonl, stream_jsonl, write_jsonl  # noqa: F401
 
 _EMBEDDING_FIELDS = {"key": str, "dim": int, "vectors": list}
 
@@ -90,8 +91,9 @@ class EmbeddingTable:
 
     @classmethod
     def load(cls, path: str | Path) -> "EmbeddingTable":
+        # Streamed: only one line's decoded lists are alive at a time.
         table = cls(str(path))
-        for index, obj in enumerate(read_jsonl(path, _EMBEDDING_FIELDS)):
+        for lineno, obj in stream_jsonl(path, _EMBEDDING_FIELDS):
             key, dim = obj["key"], obj["dim"]
             try:
                 vectors = np.asarray(obj["vectors"], dtype=float)
@@ -100,7 +102,7 @@ class EmbeddingTable:
             # Zero-norm rows would fail normalization at lookup.
             if vectors.ndim != 2 or vectors.shape[1] != dim or not np.linalg.norm(vectors, axis=1).all():
                 message = f"embedding entry {key}: vectors must be nonzero rows of {dim} numbers"
-                raise RecordError(message, str(path), record_line(path, index))
+                raise RecordError(message, str(path), lineno)
             table._entries[key] = vectors
         return table
 

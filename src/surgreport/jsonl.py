@@ -1,16 +1,25 @@
 """Line-delimited JSON: the one reader and writer behind every record file.
 
+Records are read and written one line at a time, so a file is never held
+whole in memory. Lines end at "\\n" only: the encoder leaves U+0085, U+2028
+and U+2029 unescaped inside strings, and ``str.splitlines`` would break
+records there. Writing goes to a temporary file beside the target that
+replaces it at the end, so a write that fails leaves the previous file.
+
 A reader passes its fields as a mapping from name to ``str``, ``int`` or
 ``list``. A line that is not JSON, not an object, lacks a field or holds
 another type raises RecordError at its line. An ``int`` field must be an
 exact integer from 0 to 2**63 - 1 (not a bool or a float): every integer
-field in these files is a frame index or a count. A file that is not UTF-8
-raises RecordError at the line of its first bad byte.
+field in these files is a frame index or a count. A line that is not UTF-8
+raises RecordError at that line, naming its first bad byte. A file is read
+in order and its first faulty line raises.
 """
 
 from __future__ import annotations
 
+import io
 import json
+import os
 from collections.abc import Iterable, Iterator, Mapping
 from pathlib import Path
 from typing import Any
@@ -40,35 +49,30 @@ def _problem(obj: Any, fields: Mapping[str, type]) -> str | None:
     return None
 
 
-def decode(data: bytes, source: str = "<records>") -> str:
-    """``data`` as UTF-8 text; a byte that is not UTF-8 raises RecordError at its line."""
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
-        problem = f"not UTF-8 text: byte {data[exc.start]:#04x} ({exc.reason})"
-        raise RecordError(problem, source, line) from None
+def _decoded(lines: Iterable[bytes], source: str) -> Iterator[str]:
+    """Each line of a binary file as text, its "\\n" kept.
 
-
-def read_text(path: str | Path) -> str:
-    return decode(Path(path).read_bytes(), str(path))
-
-
-def iter_jsonl(
-    text: str, source: str = "<records>", fields: Mapping[str, type] | None = None
-) -> Iterator[tuple[int, Any]]:
-    """Yield (1-based line number, decoded object) for each non-blank line.
-
-    A line that is not valid JSON, or not a record with ``fields`` when they
-    are given, raises RecordError with its line number. Lines end at "\n"
-    only: the encoder leaves U+0085, U+2028 and U+2029 unescaped inside
-    strings, and ``str.splitlines`` would break records there.
+    The "\\n" is decoded with the line, so a multibyte sequence cut at a line
+    end is reported as a whole-file decode reports it.
     """
-    for lineno, line in enumerate(text.split("\n"), start=1):
+    for lineno, raw in enumerate(lines, start=1):
+        try:
+            yield raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            problem = f"not UTF-8 text: byte {raw[exc.start]:#04x} ({exc.reason})"
+            raise RecordError(problem, source, lineno) from None
+
+
+def _records(
+    lines: Iterable[str], source: str, fields: Mapping[str, type] | None
+) -> Iterator[tuple[int, Any]]:
+    """The per-line core: (1-based line number, object) for each non-blank line."""
+    for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
         try:
-            obj = json.loads(line)
+            # Without its "\n", so an error names the column as it always has.
+            obj = json.loads(line.removesuffix("\n"))
         except ValueError as exc:
             raise RecordError(f"malformed record: {exc}", source, lineno) from None
         if fields is not None and (problem := _problem(obj, fields)):
@@ -76,14 +80,42 @@ def iter_jsonl(
         yield lineno, obj
 
 
+def read_text(path: str | Path) -> str:
+    """A whole UTF-8 file; a byte that is not UTF-8 raises RecordError at its line."""
+    with open(path, "rb") as file:
+        return "".join(_decoded(file, str(path)))
+
+
+def iter_jsonl(
+    text: str | bytes, source: str = "<records>", fields: Mapping[str, type] | None = None
+) -> Iterator[tuple[int, Any]]:
+    """Yield (1-based line number, decoded object) for each non-blank line of ``text``.
+
+    A line that is not valid JSON, or not a record with ``fields`` when they
+    are given, raises RecordError with its line number; so does a line of
+    ``bytes`` that is not UTF-8.
+    """
+    lines = text.split("\n") if isinstance(text, str) else _decoded(io.BytesIO(text), source)
+    return _records(lines, source, fields)
+
+
+def stream_jsonl(
+    path: str | Path, fields: Mapping[str, type] | None = None
+) -> Iterator[tuple[int, Any]]:
+    """``iter_jsonl`` over the file at ``path``, read one line at a time."""
+    with open(path, "rb") as file:
+        yield from _records(_decoded(file, str(path)), str(path), fields)
+
+
 def read_jsonl(path: str | Path, fields: Mapping[str, type] | None = None) -> list[Any]:
-    return [obj for _, obj in iter_jsonl(read_text(path), str(path), fields)]
+    return [obj for _, obj in stream_jsonl(path, fields)]
 
 
 def record_line(path: str | Path, index: int) -> int:
     """1-based line number of the record at ``index`` in ``read_jsonl(path)``."""
-    lines = read_text(path).split("\n")
-    return [n for n, line in enumerate(lines, start=1) if line.strip()][index]
+    with open(path, "rb") as file:
+        lines = enumerate(_decoded(file, str(path)), start=1)
+        return [n for n, line in lines if line.strip()][index]
 
 
 def dump_jsonl(records: Iterable[Any]) -> str:
@@ -93,8 +125,24 @@ def dump_jsonl(records: Iterable[Any]) -> str:
 
 
 def write_jsonl(path: str | Path, records: Iterable[Any]) -> int:
-    """Write records one per line; returns the number of records written."""
-    text = dump_jsonl(records)
-    Path(path).write_text(text, encoding="utf-8")
-    # The encoder escapes newlines inside strings, so each one ends a record.
-    return text.count("\n")
+    """Write records one per line; returns the number of records written.
+
+    The lines go to a new file beside ``path`` that replaces it once every
+    record is written; on any error it is removed and ``path`` is untouched.
+    """
+    path = Path(path)
+    temp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
+    encode = _ENCODER.encode
+    count = 0
+    try:
+        # A plain open creates the file with the mode a new output always had.
+        with open(temp, "x", encoding="utf-8", newline="") as file:
+            for record in records:
+                # The encoder escapes newlines inside strings, so each one ends a record.
+                file.write(encode(record) + "\n")
+                count += 1
+        os.replace(temp, path)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise
+    return count

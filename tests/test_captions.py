@@ -24,7 +24,7 @@ from surgreport.captions import (
     write_frame_captions,
 )
 from surgreport.dataset import FrameAnnotation, Triplet
-from surgreport.errors import GrammarError
+from surgreport.errors import GrammarError, RecordError
 from surgreport.vocab import NULL_VERB_NAME, Vocabulary, default_vocabulary
 from surgreport.windowing import ClipWindow
 
@@ -341,6 +341,17 @@ def test_caption_file_round_trip(tmp_path, vocab):
     loaded = read_clip_captions(cpath, vocab)
     assert loaded == [clip_caption]
     assert read_clip_captions(cpath)[0].segments == ()
+
+
+def test_read_clip_captions_raises_at_the_line_of_a_bad_caption(tmp_path, vocab):
+    path = tmp_path / "clips.jsonl"
+    bad = '{"video_id": "V", "start_frame": 16, "text": "no such grammar"}'
+    # The bad caption is parsed, and raises, before the malformed line after it.
+    path.write_text("\n" + bad + "\n" + bad[:-1] + "\n")
+    with pytest.raises(RecordError) as exc:
+        read_clip_captions(path, vocab)
+    assert (exc.value.source, exc.value.line) == (str(path), 2)
+    assert str(exc.value).startswith(f"{path}:2: offset 0: ")
 
 
 # The cursor parser that read every caption before the grammar was compiled,

@@ -335,3 +335,19 @@ def test_read_logits_empty_file_is_an_empty_table(tmp_path):
     table = read_logits(path)
     assert len(table) == 0
     assert table.values.shape == (0, 21)
+
+
+@pytest.mark.parametrize(
+    "bad_row",
+    [
+        '{"video_id": "V", "frame": 7, "logits": [1.0, 2.0]}',
+        '{"video_id": "V", "frame": 7, "logits": [%s]}' % ", ".join(['"x"'] * 21),
+    ],
+)
+def test_read_logits_raises_at_the_first_faulty_line(tmp_path, bad_row):
+    # A row fault comes before a malformed line further on, and raises first.
+    path = tmp_path / "logits.jsonl"
+    path.write_text(GOOD_ROW + "\n\n" + bad_row + "\n" + GOOD_ROW[:-1] + "\n")
+    with pytest.raises(RecordError) as exc:
+        read_logits(path)
+    assert exc.value.line == 3

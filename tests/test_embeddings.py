@@ -3,6 +3,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from surgreport.errors import RecordError
+
 from surgreport.embeddings import (
     EmbeddedText,
     EmbeddingTable,
@@ -65,3 +67,14 @@ def test_basis_embeddings_are_exact_unit_vectors():
 def test_bad_mode_rejected():
     with pytest.raises(ValueError, match="mode"):
         deterministic_token_embeddings(["x"], mode="learned")
+
+
+def test_load_raises_at_the_line_of_a_bad_entry(tmp_path):
+    path = tmp_path / "embeddings.jsonl"
+    good = '{"key": "a", "dim": 2, "vectors": [[1.0, 0.0]]}'
+    bad = '{"key": "b", "dim": 2, "vectors": [[0.0, 0.0]]}'
+    # The bad entry is read, and raises, before the malformed line after it.
+    path.write_text(good + "\n\n" + bad + "\n" + good[:-1] + "\n")
+    with pytest.raises(RecordError) as exc:
+        EmbeddingTable.load(path)
+    assert str(exc.value) == f"{path}:3: embedding entry b: vectors must be nonzero rows of 2 numbers"
