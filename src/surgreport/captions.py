@@ -36,7 +36,8 @@ from typing import NamedTuple, NoReturn
 
 from .dataset import FrameAnnotation, Triplet
 from .errors import GrammarError, RecordError
-from .jsonl import read_jsonl, stream_jsonl, write_jsonl
+# ``read_jsonl`` is unused here; bench/tracer.py patches it in this module by name.
+from .jsonl import read_jsonl, stream_jsonl, write_jsonl  # noqa: F401
 from .vocab import NULL_VERB_NAME, Vocabulary
 from .windowing import ClipWindow
 
@@ -392,7 +393,7 @@ def write_frame_captions(path: str | Path, captions: list[FrameCaption]) -> int:
 
 def read_frame_captions(path: str | Path) -> list[FrameCaption]:
     fields = {"video_id": str, "frame": int, "text": str}
-    return [FrameCaption(o["video_id"], o["frame"], o["text"]) for o in read_jsonl(path, fields)]
+    return [FrameCaption(o["video_id"], o["frame"], o["text"]) for _, o in stream_jsonl(path, fields)]
 
 
 def write_clip_captions(path: str | Path, captions: list[ClipCaption]) -> int:

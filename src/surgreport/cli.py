@@ -38,7 +38,7 @@ from .detection import (
 )
 from .embeddings import EmbeddingTable
 from .errors import ConfigError, EndpointError, RecordError, SurgReportError
-from .jsonl import record_line, write_jsonl
+from .jsonl import record_line, write_jsonl, write_text
 from .metrics import (
     MetricReport,
     aggregate_caption_metrics,
@@ -59,7 +59,7 @@ def _write_manifest(config: PipelineConfig, command: str, outputs: list[Path]) -
         "outputs": sorted(p.name for p in outputs),
     }
     path = config.output_dir() / f"{command}.manifest.json"
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    write_text(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 def _make_output_dir(config: PipelineConfig) -> Path:
@@ -125,7 +125,7 @@ def cmd_preprocess(config: PipelineConfig, videos: list[str] | None = None) -> l
     write_clip_manifest(outputs[2], clips)
     lines = ["phase,frames,minutes"]
     lines += [f"{phase},{count},{minutes:.1f}" for phase, count, minutes in durations]
-    outputs[3].write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_text(outputs[3], "\n".join(lines) + "\n")
     _write_manifest(config, "preprocess", outputs)
     log.info("preprocess: %d frames, %d clips", len(frame_captions), len(clips))
     return outputs
@@ -192,12 +192,9 @@ def cmd_calibrate(config: PipelineConfig) -> list[Path]:
         out / "reliability_bins_before.csv",
         out / "reliability_bins_after.csv",
     ]
-    outputs[0].write_text(
-        json.dumps(calibration_record(result), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
-    outputs[1].write_text(bins_csv(result.bins_before), encoding="utf-8")
-    outputs[2].write_text(bins_csv(result.bins_after), encoding="utf-8")
+    write_text(outputs[0], json.dumps(calibration_record(result), indent=2, sort_keys=True) + "\n")
+    write_text(outputs[1], bins_csv(result.bins_before))
+    write_text(outputs[2], bins_csv(result.bins_after))
     _write_manifest(config, "calibrate", outputs)
     log.info("calibrate: T=%.4f ece %.4f -> %.4f", result.temperature, result.ece_before, result.ece_after)
     return outputs
@@ -295,7 +292,7 @@ def cmd_evaluate(config: PipelineConfig) -> list[Path]:
     lines = [",".join(columns)]
     for row in rows:
         lines.append(",".join(_csv_cell(row.get(col)) for col in columns))
-    outputs[1].write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_text(outputs[1], "\n".join(lines) + "\n")
     _write_manifest(config, "evaluate", outputs)
     return outputs
 

@@ -1,10 +1,12 @@
-"""Line-delimited JSON: the one reader and writer behind every record file.
+"""Line-delimited JSON readers, and the one writer behind every output file.
 
 Records are read and written one line at a time, so a file is never held
 whole in memory. Lines end at "\\n" only: the encoder leaves U+0085, U+2028
 and U+2029 unescaped inside strings, and ``str.splitlines`` would break
-records there. Writing goes to a temporary file beside the target that
-replaces it at the end, so a write that fails leaves the previous file.
+records there. Every output (records, CSV, JSON, manifests, reports) is
+written by ``write_jsonl`` or ``write_text`` to a temporary file beside the
+target that replaces it at the end, so a write that fails leaves the
+previous file.
 
 A reader passes its fields as a mapping from name to ``str``, ``int`` or
 ``list``. A line that is not JSON, not an object, lacks a field or holds
@@ -21,8 +23,9 @@ import io
 import json
 import os
 from collections.abc import Iterable, Iterator, Mapping
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Any
+from typing import Any, TextIO
 
 from .errors import RecordError
 
@@ -124,25 +127,37 @@ def dump_jsonl(records: Iterable[Any]) -> str:
     return "".join([encode(rec) + "\n" for rec in records])
 
 
-def write_jsonl(path: str | Path, records: Iterable[Any]) -> int:
-    """Write records one per line; returns the number of records written.
+@contextmanager
+def _replacing(path: str | Path) -> Iterator[TextIO]:
+    """A new text file beside ``path`` that replaces it when the block ends.
 
-    The lines go to a new file beside ``path`` that replaces it once every
-    record is written; on any error it is removed and ``path`` is untouched.
+    On any error the new file is removed and ``path`` is untouched.
     """
     path = Path(path)
     temp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
-    encode = _ENCODER.encode
-    count = 0
     try:
         # A plain open creates the file with the mode a new output always had.
         with open(temp, "x", encoding="utf-8", newline="") as file:
-            for record in records:
-                # The encoder escapes newlines inside strings, so each one ends a record.
-                file.write(encode(record) + "\n")
-                count += 1
+            yield file
         os.replace(temp, path)
     except BaseException:
         temp.unlink(missing_ok=True)
         raise
+
+
+def write_jsonl(path: str | Path, records: Iterable[Any]) -> int:
+    """Write records one per line; returns the number of records written."""
+    encode = _ENCODER.encode
+    count = 0
+    with _replacing(path) as file:
+        for record in records:
+            # The encoder escapes newlines inside strings, so each one ends a record.
+            file.write(encode(record) + "\n")
+            count += 1
     return count
+
+
+def write_text(path: str | Path, text: str) -> None:
+    """Write ``text`` as UTF-8, its newlines as they are."""
+    with _replacing(path) as file:
+        file.write(text)

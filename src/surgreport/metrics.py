@@ -19,7 +19,7 @@ gives the same integer as the quadratic dynamic program.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import chain
 from math import exp, log
 from typing import NamedTuple
@@ -304,22 +304,8 @@ class MetricReport:
     f1: float | None = None
     accuracy: float | None = None
 
-    FIELDS = (
-        "bleu",
-        "rouge1",
-        "rouge2",
-        "rougeL",
-        "bert_precision",
-        "bert_recall",
-        "bert_f1",
-        "precision",
-        "recall",
-        "f1",
-        "accuracy",
-    )
-
     def to_record(self) -> dict:
-        return {name: getattr(self, name) for name in self.FIELDS}
+        return {field.name: getattr(self, field.name) for field in fields(self)}
 
 
 def aggregate_caption_metrics(

@@ -28,6 +28,7 @@ from .captions import ClipCaption, verb_forms
 from .config import EndpointConfig
 from .dataset import Triplet
 from .errors import EndpointStatusError, MissingCredentialError, TransportError
+from .jsonl import write_text
 from .vocab import Vocabulary
 
 log = logging.getLogger(__name__)
@@ -311,11 +312,11 @@ def write_report(directory: str | Path, report: SurgicalReport, vocab: Vocabular
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     text_path = directory / f"{report.video_id}{suffix}.txt"
-    text_path.write_text(report.narrative + "\n", encoding="utf-8")
+    write_text(text_path, report.narrative + "\n")
     sidecar = {
         "provenance": report.provenance,
         "timeline": timeline_record(report.timeline, vocab),
     }
     sidecar_path = directory / f"{report.video_id}{suffix}.timeline.json"
-    sidecar_path.write_text(json.dumps(sidecar, indent=2) + "\n", encoding="utf-8")
+    write_text(sidecar_path, json.dumps(sidecar, indent=2) + "\n")
     return text_path

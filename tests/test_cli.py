@@ -7,10 +7,14 @@ import os
 import re
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
 from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from surgreport.cli import main
 from surgreport.dataset import write_annotations
@@ -1019,3 +1023,138 @@ def test_non_finite_endpoint_temperature_fails_at_load(workspace, monkeypatch, c
     assert len(err.splitlines()) == 1
     assert (stub.requests, sleeps) == ([], [])
     assert not (out / "reports").exists()
+
+
+_CALIBRATION_OUTPUTS = ["calibration.json", "reliability_bins_before.csv", "reliability_bins_after.csv"]
+
+
+@pytest.mark.parametrize("failing", [2, 3])
+def test_failed_calibrate_write_leaves_each_output_whole(workspace, vocab, monkeypatch, failing):
+    _, out, config = _logits_workspace(workspace, vocab)
+
+    def outputs(seed):
+        assert main(["calibrate", "--config", config, "--seed", seed]) == 0
+        return {name: (out / name).read_bytes() for name in _CALIBRATION_OUTPUTS}
+
+    # The whole seed-2 outputs, then a seed-1 run that a failing seed-2 run replaces.
+    seed2 = outputs("2")
+    seed1 = outputs("1")
+    assert all(seed1[name] != seed2[name] for name in _CALIBRATION_OUTPUTS)
+    replace, calls = os.replace, []
+
+    def failing_replace(src, dst):
+        calls.append(dst)
+        if len(calls) == failing:
+            raise OSError("disk full")
+        replace(src, dst)
+
+    monkeypatch.setattr("surgreport.jsonl.os.replace", failing_replace)
+    with pytest.raises(OSError, match="disk full"):
+        main(["calibrate", "--config", config, "--seed", "2"])
+    # The outputs are written in order: those before the failing write hold the
+    # seed-2 bytes, the rest the seed-1 bytes, and no temporary file is left.
+    assert [Path(dst).name for dst in calls] == _CALIBRATION_OUTPUTS[:failing]
+    for index, name in enumerate(_CALIBRATION_OUTPUTS):
+        assert (out / name).read_bytes() == (seed2 if index < failing - 1 else seed1)[name]
+    assert sorted(out.glob(".*.tmp")) == []
+
+
+# Input files a mutation is applied to, and the commands that read each one.
+_READERS = {
+    "annotations.jsonl": ["preprocess", "calibrate", "evaluate"],
+    "logits.jsonl": ["detect", "calibrate", "evaluate"],
+    "generated_frame_captions.jsonl": ["evaluate"],
+    "reference_frame_captions.jsonl": ["evaluate"],
+    "generated_clip_captions.jsonl": ["evaluate"],
+    "reference_clip_captions.jsonl": ["evaluate"],
+}
+_OTHER_VALUES = [None, True, -1, 2**63 - 1, 1.5, "", "x", "16", [], ["x"], [1.0], {}, {"a": 1}]
+_BAD_BYTES = [b"\x80", b"\xff", b"\xc3", b"\xe2\x80", b"\xf0\x9f\x98", b"\xed\xa0\x80"]
+
+
+@pytest.fixture(scope="module")
+def mutation_inputs(tmp_path_factory, vocab):
+    """The bytes of each input file of a small corpus that every command accepts."""
+    root = tmp_path_factory.mktemp("inputs")
+    records = make_corpus(vocab, n_videos=2, n_frames=80, seed=3)
+    write_annotations(root / "annotations.jsonl", records, vocab)
+    write_logits(root / "logits.jsonl", make_logits(records, vocab, seed=5))
+    config = write_config(
+        root / "config.yaml",
+        paths={"annotations": str(root / "annotations.jsonl"), "output_dir": str(root)},
+    )
+    with redirect_stdout(StringIO()):
+        assert main(["preprocess", "--config", config]) == 0
+    inputs = {name: (root / name).read_bytes() for name in ("annotations.jsonl", "logits.jsonl")}
+    for kind in ("frame", "clip"):
+        for side in ("generated", "reference"):
+            inputs[f"{side}_{kind}_captions.jsonl"] = (root / f"{kind}_captions.jsonl").read_bytes()
+    return inputs
+
+
+@st.composite
+def _mutations(draw, inputs):
+    """(file name, its mutated bytes, command that reads it)."""
+    name = draw(st.sampled_from(sorted(_READERS)))
+    data = inputs[name]
+    lines = data.splitlines(keepends=True)
+    at = draw(st.integers(0, len(lines) - 1))
+    kinds = ["drop-field", "retype-field", "bad-byte", "cut-last-line", "duplicate-row"]
+    kind = draw(st.sampled_from(kinds + (["non-finite-logit"] if name == "logits.jsonl" else [])))
+    if kind == "bad-byte":
+        offset = draw(st.integers(0, len(data)))
+        data = data[:offset] + draw(st.sampled_from(_BAD_BYTES)) + data[offset:]
+    elif kind == "cut-last-line":
+        last = len(data) - len(lines[-1])
+        data = data[: draw(st.integers(last, len(data) - 1))]
+    elif kind == "duplicate-row":
+        lines.insert(draw(st.integers(0, len(lines))), lines[at])
+        data = b"".join(lines)
+    else:
+        record = json.loads(lines[at])
+        key = draw(st.sampled_from(sorted(record)))
+        if kind == "drop-field":
+            del record[key]
+        elif kind == "retype-field":
+            record[key] = draw(st.sampled_from(_OTHER_VALUES))
+        else:
+            logits = record["logits"]
+            logits[draw(st.integers(0, len(logits) - 1))] = draw(
+                st.sampled_from([float("nan"), float("inf"), float("-inf")])
+            )
+        lines[at] = (json.dumps(record, ensure_ascii=False) + "\n").encode("utf-8")
+        data = b"".join(lines)
+    return name, data, draw(st.sampled_from(_READERS[name]))
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_mutated_input_records_end_in_exit_0_or_one_error_line(
+    tmp_path_factory, mutation_inputs, data
+):
+    name, mutated, command = data.draw(_mutations(mutation_inputs))
+    root = tmp_path_factory.mktemp("mutated")
+    for file, content in mutation_inputs.items():
+        (root / file).write_bytes(mutated if file == name else content)
+    out = root / "out"
+    config = write_config(
+        root / "config.yaml",
+        paths={
+            "annotations": str(root / "annotations.jsonl"),
+            "logits": str(root / "logits.jsonl"),
+            "output_dir": str(out),
+        },
+        evaluate={
+            f"{side}_{kind}_captions": str(root / f"{side}_{kind}_captions.jsonl")
+            for side in ("generated", "reference")
+            for kind in ("frame", "clip")
+        },
+    )
+    err = StringIO()
+    with redirect_stdout(StringIO()), redirect_stderr(err):
+        status = main([command, "--config", config])
+    lines = err.getvalue().splitlines()
+    assert (status, lines) == (0, []) or (
+        status == 1 and len(lines) == 1 and lines[0].startswith("error: ")
+    ), err.getvalue()
+    assert sorted(root.rglob(".*.tmp")) == []

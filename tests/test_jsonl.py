@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import ast
 import io
 import json
 import os
 import stat
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from surgreport.jsonl import (
     record_line,
     stream_jsonl,
     write_jsonl,
+    write_text,
 )
 
 RECORDS = [
@@ -123,17 +126,111 @@ def test_failed_write_leaves_the_previous_file(tmp_path):
     assert os.listdir(tmp_path) == ["records.jsonl"]
 
 
-def test_failed_write_of_a_new_file_leaves_nothing(tmp_path):
-    with pytest.raises(TypeError):
-        write_jsonl(tmp_path / "records.jsonl", [{"ok": 1}, object()])
+# Text with CR, CRLF and the separators str.splitlines breaks at.
+TEXT = "phase,frames\r\nα — β\u2028\x85\rend\n\n"
+
+
+def test_write_text_writes_the_utf8_bytes_of_the_text(tmp_path):
+    path = tmp_path / "out.csv"
+    write_text(path, TEXT)
+    assert path.read_bytes() == TEXT.encode("utf-8")
+    write_text(path, "")
+    assert path.read_bytes() == b""
+
+
+def test_failed_text_write_leaves_the_previous_file(tmp_path, monkeypatch):
+    path = tmp_path / "out.csv"
+    write_text(path, TEXT)
+    with pytest.raises(UnicodeEncodeError):
+        write_text(path, "x" * 100_000 + "\udcff")
+
+    def replace(src, dst):
+        raise OSError("replace failed")
+
+    monkeypatch.setattr("surgreport.jsonl.os.replace", replace)
+    with pytest.raises(OSError, match="replace failed"):
+        write_text(path, "new\n")
+    with pytest.raises(OSError, match="replace failed"):
+        write_jsonl(path, RECORDS)
+    assert path.read_bytes() == TEXT.encode("utf-8")
+    assert os.listdir(tmp_path) == ["out.csv"]
+
+
+@pytest.mark.parametrize(
+    ("write", "error"),
+    [
+        (lambda path: write_jsonl(path, [{"ok": 1}, object()]), TypeError),
+        (lambda path: write_text(path, "ok\n\udcff"), UnicodeEncodeError),
+    ],
+    ids=["jsonl", "text"],
+)
+def test_failed_write_of_a_new_file_leaves_nothing(tmp_path, write, error):
+    with pytest.raises(error):
+        write(tmp_path / "records.jsonl")
     assert os.listdir(tmp_path) == []
 
 
-def test_written_file_has_the_mode_of_a_plain_new_file(tmp_path):
-    write_jsonl(tmp_path / "records.jsonl", RECORDS)
+@pytest.mark.parametrize(
+    "write",
+    [lambda path: write_jsonl(path, RECORDS), lambda path: write_text(path, TEXT)],
+    ids=["jsonl", "text"],
+)
+def test_written_file_has_the_mode_of_a_plain_new_file(tmp_path, write):
+    write(tmp_path / "records.jsonl")
     (tmp_path / "plain.txt").write_text("x")
     mode = stat.S_IMODE((tmp_path / "records.jsonl").stat().st_mode)
     assert mode == stat.S_IMODE((tmp_path / "plain.txt").stat().st_mode)
+
+
+# Only jsonl.py writes files: every other module writes through write_jsonl
+# or write_text, so every output is replaced whole or left as it was.
+_PACKAGE = Path(__file__).resolve().parents[1] / "src" / "surgreport"
+
+
+def _file_writes(source: str) -> list[int]:
+    """Line numbers of write_text/write_bytes calls and of opens whose mode writes."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Attribute) and func.attr in ("write_text", "write_bytes"):
+            found.append(node.lineno)
+        elif isinstance(func, ast.Name) and func.id == "open":
+            # A mode that is not a literal counts as writing.
+            modes = [kw.value for kw in node.keywords if kw.arg == "mode"] + node.args[1:2]
+            if any(not isinstance(m, ast.Constant) or set(str(m.value)) & set("wax+") for m in modes):
+                found.append(node.lineno)
+    return found
+
+
+def test_only_jsonl_writes_files():
+    writes = {
+        path.name: _file_writes(path.read_text(encoding="utf-8"))
+        for path in sorted(_PACKAGE.glob("*.py"))
+    }
+    assert len(writes) > 10 and writes.pop("jsonl.py")
+    assert {name: lines for name, lines in writes.items() if lines} == {}
+
+
+@pytest.mark.parametrize(
+    ("call", "writes"),
+    [
+        ("path.write_text(text)", True),
+        ("Path(p).write_bytes(b'')", True),
+        ("open(p, 'w')", True),
+        ("open(p, mode='ab')", True),
+        ("open(p, 'r+')", True),
+        ("open(p, mode)", True),
+        ("open(p, 'x', encoding='utf-8')", True),
+        ("open(p)", False),
+        ("open(p, 'rb')", False),
+        ("opener.open(request, timeout=5)", False),
+        ("write_text(path, text)", False),
+    ],
+)
+def test_the_file_write_scan(call, writes):
+    assert _file_writes(f"import os\n{call}\n") == ([2] if writes else [])
 
 
 # The whole-file reader the streamed one replaced: decode every byte first,
