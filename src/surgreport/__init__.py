@@ -4,89 +4,54 @@ The library turns triplet-annotated surgical videos and externally produced
 per-frame detection logits into deterministic frame/clip captions,
 calibrated multi-label detections, text and detection metrics, and
 structured surgical reports.
+
+Each public name is imported from its submodule on first access (PEP 562),
+so ``import surgreport`` loads no submodule. Only ``calibration``,
+``detection``, ``embeddings`` and ``metrics`` import numpy: of the CLI
+commands, ``detect``, ``calibrate`` and ``evaluate`` load it, and
+``preprocess`` and ``report`` do not.
 """
 
 from __future__ import annotations
 
+from importlib import import_module
+
 __version__ = "0.1.0"
 
-from .calibration import (
-    CalibrationResult,
-    ReliabilityBins,
-    ece,
-    fit_temperature,
-    nll,
-    reliability_bins,
-)
-from .captions import (
-    ClipCaption,
-    FrameCaption,
-    PhaseSegment,
-    parse_clip_caption,
-    render_clip_text,
-    synthesize_clip_caption,
-    synthesize_frame_caption,
-)
-from .dataset import (
-    DatasetSplit,
-    FrameAnnotation,
-    Triplet,
-    VideoRecord,
-    load_annotations,
-    parse_annotations,
-    phase_duration_table,
-    serialize_annotations,
-    split_dataset,
-)
-from .detection import (
-    ClassWeights,
-    LogitsRecord,
-    LogitsTable,
-    PatchSequence,
-    class_weights,
-    patch_count,
-    patchify,
-    probabilities_from_logits,
-    threshold_detect,
-    truth_bits,
-    unpatchify,
-    weighted_bce,
-)
-from .embeddings import EmbeddedText, EmbeddingTable, deterministic_token_embeddings
-from .errors import (
-    AnnotationError,
-    ConfigError,
-    EndpointError,
-    GrammarError,
-    MissingCredentialError,
-    RecordError,
-    SurgReportError,
-    TransportError,
-)
-from .metrics import (
-    AveragePrecision,
-    BertScore,
-    ClassificationMetrics,
-    MetricReport,
-    average_precision,
-    bertscore,
-    bleu,
-    classification_metrics,
-    rouge,
-    tokenize,
-)
-from .report import (
-    EndpointConfig,
-    MergedTimeline,
-    PromptRequest,
-    SurgicalReport,
-    llm_generate,
-    merge_timeline,
-    offline_report,
-    render_prompt,
-)
-from .vocab import Vocabulary, default_vocabulary, load_vocabulary
-from .windowing import ClipWindow, window_starts, window_video
+# Public name -> the submodule that defines it.
+_SUBMODULE = {
+    name: module
+    for module, names in {
+        "calibration": "CalibrationResult ReliabilityBins ece fit_temperature nll reliability_bins",
+        "captions": "ClipCaption FrameCaption PhaseSegment parse_clip_caption render_clip_text "
+        "synthesize_clip_caption synthesize_frame_caption",
+        "dataset": "DatasetSplit FrameAnnotation Triplet VideoRecord load_annotations "
+        "parse_annotations phase_duration_table serialize_annotations split_dataset",
+        "detection": "ClassWeights LogitsRecord LogitsTable PatchSequence class_weights patch_count "
+        "patchify probabilities_from_logits threshold_detect truth_bits unpatchify weighted_bce",
+        "embeddings": "EmbeddedText EmbeddingTable deterministic_token_embeddings",
+        "errors": "AnnotationError ConfigError EndpointError GrammarError MissingCredentialError "
+        "RecordError SurgReportError TransportError",
+        "metrics": "AveragePrecision BertScore ClassificationMetrics MetricReport average_precision "
+        "bertscore bleu classification_metrics rouge tokenize",
+        "report": "EndpointConfig MergedTimeline PromptRequest SurgicalReport llm_generate "
+        "merge_timeline offline_report render_prompt",
+        "vocab": "Vocabulary default_vocabulary load_vocabulary",
+        "windowing": "ClipWindow window_starts window_video",
+    }.items()
+    for name in names.split()
+}
+
+
+def __getattr__(name: str):
+    if name not in _SUBMODULE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return globals().setdefault(name, getattr(import_module(f".{_SUBMODULE[name]}", __name__), name))
+
+
+def __dir__() -> list[str]:
+    return sorted(globals().keys() | _SUBMODULE.keys())
+
 
 __all__ = [
     "__version__",

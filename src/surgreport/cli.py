@@ -4,21 +4,25 @@ Subcommands: preprocess, detect, calibrate, evaluate, report. Each reads
 one YAML configuration file; selected fields can be overridden with flags
 (flag > config > default). Outputs are deterministic: rerunning a command
 on unchanged inputs produces byte-identical files.
+
+``preprocess`` and ``report`` do not load numpy. The names that only
+``detect``, ``calibrate`` and ``evaluate`` use (numpy and the calibration,
+detection, embeddings and metrics functions) are listed in ``_DEFERRED``:
+each is imported and bound on first use, and those three commands bind them
+all first with ``_bind_deferred``.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import logging
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
-from .calibration import bins_csv, calibration_record, fit_temperature
 from .captions import (
     read_clip_captions,
     read_frame_captions,
@@ -29,24 +33,37 @@ from .captions import (
 )
 from .config import PipelineConfig, config_hash, load_config, validate_paths
 from .dataset import load_annotations, phase_duration_table, split_dataset
-from .detection import (
-    probabilities_from_logits,
-    read_logits,
-    threshold_detect,
-    truth_bits,
-    write_detections,
-)
-from .embeddings import EmbeddingTable
 from .errors import ConfigError, EndpointError, RecordError, SurgReportError
 from .jsonl import record_line, write_jsonl, write_text
-from .metrics import (
-    MetricReport,
-    aggregate_caption_metrics,
-    average_precision,
-    classification_metrics,
-)
 from .report import llm_generate, merge_timeline, offline_report, render_prompt, write_report
 from .windowing import window_video, write_clip_manifest
+
+# Name -> the module it comes from, for the names that load numpy.
+_DEFERRED = {
+    name: module
+    for module, names in {
+        "numpy": "np",
+        ".calibration": "bins_csv calibration_record fit_temperature",
+        ".detection": "probabilities_from_logits read_logits threshold_detect truth_bits write_detections",
+        ".embeddings": "EmbeddingTable",
+        ".metrics": "MetricReport aggregate_caption_metrics average_precision classification_metrics",
+    }.items()
+    for name in names.split()
+}
+
+
+def __getattr__(name: str):
+    """Import a deferred name on first use; a value already bound here (a wrapper) stays."""
+    if name not in _DEFERRED:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(_DEFERRED[name], __package__)
+    return globals().setdefault(name, module if name == "np" else getattr(module, name))
+
+
+def _bind_deferred() -> None:
+    for name in _DEFERRED:
+        __getattr__(name)
+
 
 log = logging.getLogger(__name__)
 
@@ -133,6 +150,7 @@ def cmd_preprocess(config: PipelineConfig, videos: list[str] | None = None) -> l
 
 def cmd_detect(config: PipelineConfig, videos: list[str] | None = None) -> list[Path]:
     """Map logits to probabilities and thresholded detections."""
+    _bind_deferred()
     validate_paths(config, ("logits",))
     vocab = config.vocabulary()
     table = read_logits(config.paths.logits)
@@ -160,6 +178,7 @@ def _truth_matrix(records, keys: list, vocab) -> np.ndarray:
 
 def cmd_calibrate(config: PipelineConfig) -> list[Path]:
     """Fit the temperature on the validation split and export the results."""
+    _bind_deferred()
     validate_paths(config, ("annotations", "logits"))
     records, vocab = _load_records(config, None)
     split = split_dataset(
@@ -255,6 +274,7 @@ def _detection_report(config: PipelineConfig, vocab) -> dict | None:
 
 def cmd_evaluate(config: PipelineConfig) -> list[Path]:
     """Score generated captions against references; add detection metrics."""
+    _bind_deferred()
     vocab = config.vocabulary()
     out = config.output_dir()
     evaluate = config.evaluate
@@ -316,16 +336,20 @@ def cmd_report(config: PipelineConfig, videos: list[str] | None = None) -> list[
     captions = read_clip_captions(clip_path, vocab)
     by_video: dict[str, list] = {}
     for index, caption in enumerate(captions):
+        # The id names the video's report files, so it must be one plain path component.
+        if caption.video_id in ("", ".", "..") or any(c in caption.video_id for c in "/\\\0"):
+            problem = f"video_id {caption.video_id!r} is not a plain file name"
         # preprocess writes clips of exactly windowing.size seconds; merge_timeline
         # expands each second, so a longer caption is rejected before it.
-        if caption.size > config.windowing.size:
-            raise RecordError(
+        elif caption.size > config.windowing.size:
+            problem = (
                 f"clip caption durations sum to {caption.size} seconds, more than "
-                f"windowing.size {config.windowing.size}",
-                str(clip_path),
-                record_line(clip_path, index),
+                f"windowing.size {config.windowing.size}"
             )
-        by_video.setdefault(caption.video_id, []).append(caption)
+        else:
+            by_video.setdefault(caption.video_id, []).append(caption)
+            continue
+        raise RecordError(problem, str(clip_path), record_line(clip_path, index))
     if videos:
         _check_videos(videos, by_video)
     selected = {v: by_video[v] for v in videos} if videos else by_video
@@ -394,7 +418,7 @@ def main(argv: list[str] | None = None) -> int:
             "report": lambda: cmd_report(config, videos),
         }[args.command]
         outputs = runner()
-    except SurgReportError as exc:
+    except (SurgReportError, OSError) as exc:  # OSError: an input or output file operation failed
         print(f"error: {exc}", file=sys.stderr)
         return 1
     for path in outputs:

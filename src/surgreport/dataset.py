@@ -18,6 +18,7 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import RecordError
 from .jsonl import dump_jsonl, iter_jsonl, stream_jsonl, write_jsonl
@@ -29,9 +30,11 @@ FRAMES_PER_SECOND = 1
 FrameRef = tuple[str, int]
 
 
-@dataclass(frozen=True)
-class Triplet:
-    """One (instrument, verb, target) action; verb/target may be absent."""
+class Triplet(NamedTuple):
+    """One (instrument, verb, target) action; verb/target may be absent.
+
+    A tuple, so the parser's per-clause equality and hashing run in C.
+    """
 
     instrument: int
     verb: int | None = None

@@ -275,6 +275,10 @@ def llm_generate(request: PromptRequest, endpoint: EndpointConfig) -> SurgicalRe
     if type(narrative) is not str:
         problem = f"content is {type(narrative).__name__}, not a string"
         raise EndpointStatusError(f"malformed endpoint response: {problem}", status)
+    try:
+        narrative.encode("utf-8")  # JSON can carry a lone surrogate (\ud800), which no file holds
+    except UnicodeEncodeError as exc:
+        raise EndpointStatusError(f"malformed endpoint response: {exc}", status)
     log.info("report response: %d characters", len(narrative))
     return SurgicalReport(
         video_id=request.clips[0].video_id,

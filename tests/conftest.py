@@ -30,7 +30,7 @@ def frame(vocab, video_id, index, phase, triplets=()) -> FrameAnnotation:
     return FrameAnnotation(
         video_id,
         index,
-        tuple(triplet(vocab, *t) if isinstance(t, tuple) else t for t in triplets),
+        tuple(t if isinstance(t, Triplet) else triplet(vocab, *t) for t in triplets),
         vocab.index_of("phases", phase),
     )
 

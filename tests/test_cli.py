@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import ast
 import hashlib
+import importlib
 import json
 import os
 import re
@@ -448,6 +449,65 @@ def test_report_endpoint_failure_keeps_offline_artifact(workspace, monkeypatch, 
     assert "endpoint report failed" in capsys.readouterr().err
 
 
+def test_endpoint_content_with_a_lone_surrogate_is_malformed(workspace, monkeypatch, capsys):
+    tmp_path, records, annotations, out, config = workspace
+    assert main(["preprocess", "--config", config]) == 0
+    monkeypatch.setenv("SURGREPORT_API_KEY", "k")
+    with StubChatServer(completion="ok \ud800 end") as stub:
+        config = write_config(
+            tmp_path / "config.yaml",
+            paths={"annotations": str(annotations), "output_dir": str(out)},
+            report={"offline": False, "endpoint": {"base_url": stub.url, "model": "m"}},
+        )
+        capsys.readouterr()
+        assert main(["report", "--config", config, "--videos", "VID01"]) == 1
+    assert len(stub.requests) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: endpoint report failed: malformed endpoint response: ")
+    assert err.count("\n") == 1
+    assert sorted(p.name for p in (out / "reports").iterdir()) == ["VID01.timeline.json", "VID01.txt"]
+
+
+@pytest.mark.parametrize("video_id", ["", ".", "..", "../escaped", "sub/dir", "a\\b", "nul\0"])
+def test_report_rejects_a_video_id_that_is_not_a_file_name(workspace, capsys, video_id):
+    tmp_path, records, annotations, out, config = workspace
+    assert main(["preprocess", "--config", config]) == 0
+    clip_path = out / "clip_captions.jsonl"
+    lines = clip_path.read_text(encoding="utf-8").splitlines(keepends=True)
+    row = json.loads(lines[2])
+    row["video_id"] = video_id
+    lines[2] = json.dumps(row) + "\n"
+    clip_path.write_text("".join(lines), encoding="utf-8")
+    before = sorted(tmp_path.rglob("*"))
+    capsys.readouterr()
+    assert main(["report", "--config", config]) == 1
+    message = f"video_id {video_id!r} is not a plain file name"
+    assert capsys.readouterr().err == f"error: {clip_path}:3: {message}\n"
+    assert sorted(tmp_path.rglob("*")) == before  # no report written, inside reports/ or out of it
+
+
+def test_report_file_errors_end_in_one_error_line(workspace, capsys):
+    tmp_path, records, annotations, out, config = workspace
+    assert main(["preprocess", "--config", config]) == 0
+    clip_path = out / "clip_captions.jsonl"
+    lines = clip_path.read_text(encoding="utf-8").splitlines(keepends=True)
+    long_id = "v" * 300  # longer than a file name may be
+    clip_path.write_text(
+        "".join(line.replace('"VID02"', f'"{long_id}"') for line in lines), encoding="utf-8"
+    )
+    capsys.readouterr()
+    assert main(["report", "--config", config]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: [Errno ") and "File name too long" in err
+    assert err.count("\n") == 1
+    assert sorted(out.glob("reports/.*.tmp")) == []
+    # An input that cannot be read: the clip-caption path names a directory.
+    clip_path.unlink()
+    clip_path.mkdir()
+    assert main(["report", "--config", config]) == 1
+    assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: '{clip_path}'\n"
+
+
 def test_offline_flag_suppresses_endpoint(workspace, monkeypatch):
     tmp_path, records, annotations, out, config = workspace
     assert main(["preprocess", "--config", config]) == 0
@@ -546,14 +606,66 @@ def test_evaluate_blank_reference_caption(workspace, vocab, capsys):
     assert err == f"error: frame_captions: reference caption {key} in {reference} is blank\n"
 
 
-def test_importing_the_cli_does_not_load_requests():
-    code = "import sys, surgreport.cli; print('requests' in sys.modules)"
+def _python(code: str, *args: str) -> str:
+    """The stdout of ``code`` run in a fresh interpreter that imports this source tree."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     result = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+        [sys.executable, "-c", code, *args], capture_output=True, text=True, env=env, check=True
     )
-    assert result.stdout.strip() == "False"
+    return result.stdout
+
+
+def test_importing_the_cli_does_not_load_requests():
+    assert _python("import sys, surgreport.cli; print('requests' in sys.modules)").strip() == "False"
+
+
+def test_only_the_scoring_commands_load_numpy(workspace, vocab):
+    _, _, config = _logits_workspace(workspace, vocab)
+    code = (
+        "import json, sys\n"
+        "from surgreport.cli import main\n"
+        "loaded = {}\n"
+        "for command in ('preprocess', 'report', 'detect'):\n"
+        "    assert main([command, '--config', sys.argv[1], '--offline']) == 0\n"
+        "    loaded[command] = 'numpy' in sys.modules\n"
+        "print(json.dumps(loaded))\n"
+    )
+    last_line = _python(code, config).splitlines()[-1]
+    assert json.loads(last_line) == {"preprocess": False, "report": False, "detect": True}
+
+
+def test_every_public_name_is_its_submodule_object():
+    import surgreport
+
+    namespace: dict = {}
+    exec("from surgreport import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(surgreport.__all__)
+    assert set(surgreport.__all__) <= set(dir(surgreport))
+    for name in set(surgreport.__all__) - {"__version__"}:
+        module = importlib.import_module(f"surgreport.{surgreport._SUBMODULE[name]}")
+        assert namespace[name] is getattr(surgreport, name) is getattr(module, name)
+    assert not hasattr(surgreport, "no_such_name")
+
+
+def test_a_wrapper_bound_on_the_cli_is_the_function_detect_calls(workspace, vocab, monkeypatch):
+    import surgreport.cli as cli
+    from surgreport.detection import read_logits
+
+    logits_path, _, config = _logits_workspace(workspace, vocab)
+    # As in a fresh process: no deferred name bound yet.
+    for name in cli._DEFERRED:
+        monkeypatch.delitem(vars(cli), name, raising=False)
+    calls = []
+
+    def wrapper(path):
+        calls.append(path)
+        return read_logits(path)
+
+    monkeypatch.setattr(cli, "read_logits", wrapper, raising=False)
+    assert main(["detect", "--config", config]) == 0
+    assert calls == [str(logits_path)]
+    assert cli.read_logits is wrapper
 
 
 def test_declared_dependencies_are_the_third_party_imports():
@@ -1029,7 +1141,7 @@ _CALIBRATION_OUTPUTS = ["calibration.json", "reliability_bins_before.csv", "reli
 
 
 @pytest.mark.parametrize("failing", [2, 3])
-def test_failed_calibrate_write_leaves_each_output_whole(workspace, vocab, monkeypatch, failing):
+def test_failed_calibrate_write_leaves_each_output_whole(workspace, vocab, monkeypatch, capsys, failing):
     _, out, config = _logits_workspace(workspace, vocab)
 
     def outputs(seed):
@@ -1049,8 +1161,9 @@ def test_failed_calibrate_write_leaves_each_output_whole(workspace, vocab, monke
         replace(src, dst)
 
     monkeypatch.setattr("surgreport.jsonl.os.replace", failing_replace)
-    with pytest.raises(OSError, match="disk full"):
-        main(["calibrate", "--config", config, "--seed", "2"])
+    capsys.readouterr()
+    assert main(["calibrate", "--config", config, "--seed", "2"]) == 1
+    assert capsys.readouterr().err == "error: disk full\n"
     # The outputs are written in order: those before the failing write hold the
     # seed-2 bytes, the rest the seed-1 bytes, and no temporary file is left.
     assert [Path(dst).name for dst in calls] == _CALIBRATION_OUTPUTS[:failing]
