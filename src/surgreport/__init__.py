@@ -5,8 +5,10 @@ per-frame detection logits into deterministic frame/clip captions,
 calibrated multi-label detections, text and detection metrics, and
 structured surgical reports.
 
-Each public name is imported from its submodule on first access (PEP 562),
-so ``import surgreport`` loads no submodule. Only ``calibration``,
+The public names are listed once, in ``_SUBMODULE`` (name -> the submodule
+that defines it); ``__all__`` is ``__version__`` plus that table's keys.
+Each is imported from its submodule on first access (PEP 562), so
+``import surgreport`` loads no submodule. Only ``calibration``,
 ``detection``, ``embeddings`` and ``metrics`` import numpy: of the CLI
 commands, ``detect``, ``calibrate`` and ``evaluate`` load it, and
 ``preprocess`` and ``report`` do not.
@@ -41,6 +43,7 @@ _SUBMODULE = {
     }.items()
     for name in names.split()
 }
+__all__ = ["__version__", *_SUBMODULE]
 
 
 def __getattr__(name: str):
@@ -52,75 +55,3 @@ def __getattr__(name: str):
 def __dir__() -> list[str]:
     return sorted(globals().keys() | _SUBMODULE.keys())
 
-
-__all__ = [
-    "__version__",
-    "AnnotationError",
-    "AveragePrecision",
-    "BertScore",
-    "CalibrationResult",
-    "ClassificationMetrics",
-    "ClassWeights",
-    "ClipCaption",
-    "ClipWindow",
-    "ConfigError",
-    "DatasetSplit",
-    "EmbeddedText",
-    "EmbeddingTable",
-    "EndpointConfig",
-    "EndpointError",
-    "FrameAnnotation",
-    "FrameCaption",
-    "GrammarError",
-    "LogitsRecord",
-    "LogitsTable",
-    "MergedTimeline",
-    "MetricReport",
-    "MissingCredentialError",
-    "PatchSequence",
-    "PhaseSegment",
-    "PromptRequest",
-    "RecordError",
-    "SurgReportError",
-    "SurgicalReport",
-    "TransportError",
-    "Triplet",
-    "VideoRecord",
-    "Vocabulary",
-    "average_precision",
-    "bertscore",
-    "bleu",
-    "class_weights",
-    "classification_metrics",
-    "default_vocabulary",
-    "deterministic_token_embeddings",
-    "ece",
-    "fit_temperature",
-    "llm_generate",
-    "load_annotations",
-    "load_vocabulary",
-    "merge_timeline",
-    "nll",
-    "offline_report",
-    "parse_annotations",
-    "parse_clip_caption",
-    "patch_count",
-    "patchify",
-    "phase_duration_table",
-    "probabilities_from_logits",
-    "reliability_bins",
-    "render_clip_text",
-    "render_prompt",
-    "rouge",
-    "serialize_annotations",
-    "split_dataset",
-    "synthesize_clip_caption",
-    "synthesize_frame_caption",
-    "threshold_detect",
-    "tokenize",
-    "truth_bits",
-    "unpatchify",
-    "weighted_bce",
-    "window_starts",
-    "window_video",
-]

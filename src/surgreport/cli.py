@@ -1,9 +1,13 @@
 """Command-line pipeline orchestration.
 
-Subcommands: preprocess, detect, calibrate, evaluate, report. Each reads
-one YAML configuration file; selected fields can be overridden with flags
-(flag > config > default). Outputs are deterministic: rerunning a command
-on unchanged inputs produces byte-identical files.
+Each command is named once, in ``COMMANDS`` (name -> help line):
+``surgreport <name>`` runs ``cmd_<name>(config, videos)``, which writes its
+outputs and returns their paths, and ``main`` then writes
+``<name>.manifest.json`` listing them. A command that fails writes no
+manifest. Each command reads one YAML configuration file; selected fields
+can be overridden with flags (flag > config > default). Outputs are
+deterministic: rerunning a command on unchanged inputs produces
+byte-identical files.
 
 ``preprocess`` and ``report`` do not load numpy. The names that only
 ``detect``, ``calibrate`` and ``evaluate`` use (numpy and the calibration,
@@ -67,6 +71,15 @@ def _bind_deferred() -> None:
 
 log = logging.getLogger(__name__)
 
+# Command name -> its help line; ``surgreport <name>`` runs ``cmd_<name>``.
+COMMANDS = {
+    "preprocess": "synthesize captions, clip manifest, and phase durations",
+    "detect": "threshold external logits into detections",
+    "calibrate": "fit the temperature on the validation split",
+    "evaluate": "score captions and detections",
+    "report": "assemble surgical reports",
+}
+
 
 def _write_manifest(config: PipelineConfig, command: str, outputs: list[Path]) -> None:
     manifest = {
@@ -109,7 +122,7 @@ def _load_records(config: PipelineConfig, videos: list[str] | None):
     return records, vocab
 
 
-def cmd_preprocess(config: PipelineConfig, videos: list[str] | None = None) -> list[Path]:
+def cmd_preprocess(config: PipelineConfig, videos: list[str] | None) -> list[Path]:
     """Write frame captions, clip captions, the clip manifest, and durations."""
     records, vocab = _load_records(config, videos)
     out = _make_output_dir(config)
@@ -143,12 +156,11 @@ def cmd_preprocess(config: PipelineConfig, videos: list[str] | None = None) -> l
     lines = ["phase,frames,minutes"]
     lines += [f"{phase},{count},{minutes:.1f}" for phase, count, minutes in durations]
     write_text(outputs[3], "\n".join(lines) + "\n")
-    _write_manifest(config, "preprocess", outputs)
     log.info("preprocess: %d frames, %d clips", len(frame_captions), len(clips))
     return outputs
 
 
-def cmd_detect(config: PipelineConfig, videos: list[str] | None = None) -> list[Path]:
+def cmd_detect(config: PipelineConfig, videos: list[str] | None) -> list[Path]:
     """Map logits to probabilities and thresholded detections."""
     _bind_deferred()
     validate_paths(config, ("logits",))
@@ -163,7 +175,6 @@ def cmd_detect(config: PipelineConfig, videos: list[str] | None = None) -> list[
     detected = threshold_detect(probs, config.detection.threshold)
     path = _make_output_dir(config) / "detections.jsonl"
     write_detections(path, table, probs, detected, vocab)
-    _write_manifest(config, "detect", [path])
     return [path]
 
 
@@ -176,11 +187,11 @@ def _truth_matrix(records, keys: list, vocab) -> np.ndarray:
     return np.asarray([truth_bits(frames[key], vocab) for key in keys])
 
 
-def cmd_calibrate(config: PipelineConfig) -> list[Path]:
+def cmd_calibrate(config: PipelineConfig, videos: list[str] | None) -> list[Path]:
     """Fit the temperature on the validation split and export the results."""
     _bind_deferred()
     validate_paths(config, ("annotations", "logits"))
-    records, vocab = _load_records(config, None)
+    records, vocab = _load_records(config, videos)
     split = split_dataset(
         records, config.split.ratios, config.split.seed, config.split.granularity
     )
@@ -214,7 +225,6 @@ def cmd_calibrate(config: PipelineConfig) -> list[Path]:
     write_text(outputs[0], json.dumps(calibration_record(result), indent=2, sort_keys=True) + "\n")
     write_text(outputs[1], bins_csv(result.bins_before))
     write_text(outputs[2], bins_csv(result.bins_after))
-    _write_manifest(config, "calibrate", outputs)
     log.info("calibrate: T=%.4f ece %.4f -> %.4f", result.temperature, result.ece_before, result.ece_after)
     return outputs
 
@@ -272,8 +282,10 @@ def _detection_report(config: PipelineConfig, vocab) -> dict | None:
     return row
 
 
-def cmd_evaluate(config: PipelineConfig) -> list[Path]:
+def cmd_evaluate(config: PipelineConfig, videos: list[str] | None) -> list[Path]:
     """Score generated captions against references; add detection metrics."""
+    if videos:
+        raise ConfigError("evaluate scores every video and takes no --videos")
     _bind_deferred()
     vocab = config.vocabulary()
     out = config.output_dir()
@@ -313,7 +325,6 @@ def cmd_evaluate(config: PipelineConfig) -> list[Path]:
     for row in rows:
         lines.append(",".join(_csv_cell(row.get(col)) for col in columns))
     write_text(outputs[1], "\n".join(lines) + "\n")
-    _write_manifest(config, "evaluate", outputs)
     return outputs
 
 
@@ -327,7 +338,7 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def cmd_report(config: PipelineConfig, videos: list[str] | None = None) -> list[Path]:
+def cmd_report(config: PipelineConfig, videos: list[str] | None) -> list[Path]:
     """Write the offline report per video, plus the endpoint report if enabled."""
     vocab = config.vocabulary()
     clip_path = Path(config.paths.output_dir) / "clip_captions.jsonl"
@@ -373,7 +384,6 @@ def cmd_report(config: PipelineConfig, videos: list[str] | None = None) -> list[
             except EndpointError as exc:
                 # The offline artifacts above are already on disk.
                 raise EndpointError(f"endpoint report failed: {exc}") from exc
-    _write_manifest(config, "report", outputs)
     return outputs
 
 
@@ -384,13 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("preprocess", "synthesize captions, clip manifest, and phase durations"),
-        ("detect", "threshold external logits into detections"),
-        ("calibrate", "fit the temperature on the validation split"),
-        ("evaluate", "score captions and detections"),
-        ("report", "assemble surgical reports"),
-    ):
+    for name, help_text in COMMANDS.items():
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", required=True, help="pipeline YAML configuration")
         cmd.add_argument("--videos", help="comma-separated video ids to restrict to")
@@ -410,14 +414,9 @@ def main(argv: list[str] | None = None) -> int:
     videos = args.videos.split(",") if args.videos else None
     try:
         config = load_config(args.config, {k: v for k, v in vars(args).items() if "." in k and v is not None})
-        runner = {
-            "preprocess": lambda: cmd_preprocess(config, videos),
-            "detect": lambda: cmd_detect(config, videos),
-            "calibrate": lambda: cmd_calibrate(config),
-            "evaluate": lambda: cmd_evaluate(config),
-            "report": lambda: cmd_report(config, videos),
-        }[args.command]
-        outputs = runner()
+        # Looked up at each run, so a wrapper bound on this module is the function called.
+        outputs = globals()[f"cmd_{args.command}"](config, videos)
+        _write_manifest(config, args.command, outputs)
     except (SurgReportError, OSError) as exc:  # OSError: an input or output file operation failed
         print(f"error: {exc}", file=sys.stderr)
         return 1

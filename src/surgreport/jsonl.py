@@ -131,17 +131,22 @@ def dump_jsonl(records: Iterable[Any]) -> str:
 def _replacing(path: str | Path) -> Iterator[TextIO]:
     """A new text file beside ``path`` that replaces it when the block ends.
 
-    On any error the new file is removed and ``path`` is untouched.
+    On any error the new file is removed and ``path`` is untouched. The
+    temporary name does not grow with ``path``'s, so any output name the file
+    system takes can be written, and an error that names the temporary file
+    names ``path`` instead.
     """
     path = Path(path)
-    temp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
+    temp = path.with_name(f".{os.urandom(8).hex()}.tmp")
     try:
         # A plain open creates the file with the mode a new output always had.
         with open(temp, "x", encoding="utf-8", newline="") as file:
             yield file
         os.replace(temp, path)
-    except BaseException:
+    except BaseException as exc:
         temp.unlink(missing_ok=True)
+        if isinstance(exc, OSError) and exc.filename == str(temp):
+            raise OSError(exc.errno, exc.strerror, str(path)) from None
         raise
 
 

@@ -17,7 +17,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from surgreport.cli import main
+from surgreport.cli import COMMANDS, main
 from surgreport.dataset import write_annotations
 from surgreport.detection import write_logits
 from surgreport.embeddings import EmbeddingTable, deterministic_token_embeddings, embedding_key
@@ -202,6 +202,37 @@ def test_detect_unknown_video(workspace, vocab, capsys):
     assert main(["detect", "--config", config, "--videos", "VID01,NOPE"]) == 1
     assert "unknown video ids: ['NOPE']" in capsys.readouterr().err
     assert not (out / "detections.jsonl").exists()
+
+
+def test_calibrate_videos_matches_an_annotation_file_of_those_videos(workspace, vocab):
+    tmp_path, records, _, _, _ = workspace
+    logits_path, out, config = _logits_workspace(workspace, vocab)
+    only = tmp_path / "vid01.jsonl"
+    write_annotations(only, [r for r in records if r.video_id == "VID01"], vocab)
+    alone = tmp_path / "alone"
+    only_config = write_config(
+        tmp_path / "vid01.yaml",
+        paths={"annotations": str(only), "logits": str(logits_path), "output_dir": str(alone)},
+    )
+    assert main(["calibrate", "--config", only_config]) == 0
+    assert main(["calibrate", "--config", config]) == 0
+    assert (out / "calibration.json").read_bytes() != (alone / "calibration.json").read_bytes()
+    assert main(["calibrate", "--config", config, "--videos", "VID01"]) == 0
+    assert (out / "calibration.json").read_bytes() == (alone / "calibration.json").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "command, videos, message",
+    [
+        ("calibrate", "VID01,NOPE", "unknown video ids: ['NOPE']"),
+        ("evaluate", "VID01", "evaluate scores every video and takes no --videos"),
+    ],
+)
+def test_videos_refusal_is_one_error_line(workspace, vocab, capsys, command, videos, message):
+    _, out, config = _logits_workspace(workspace, vocab)
+    assert main([command, "--config", config, "--videos", videos]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 BAD_LOGITS_LINES = {
@@ -500,12 +531,25 @@ def test_report_file_errors_end_in_one_error_line(workspace, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: [Errno ") and "File name too long" in err
     assert err.count("\n") == 1
+    assert f"'{out / 'reports' / long_id}.txt'" in err and ".tmp" not in err
     assert sorted(out.glob("reports/.*.tmp")) == []
     # An input that cannot be read: the clip-caption path names a directory.
     clip_path.unlink()
     clip_path.mkdir()
     assert main(["report", "--config", config]) == 1
     assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: '{clip_path}'\n"
+
+
+def test_report_for_the_longest_id_the_file_system_takes(workspace):
+    _, _, _, out, config = workspace
+    assert main(["preprocess", "--config", config]) == 0
+    clip_path = out / "clip_captions.jsonl"
+    # 241 + len(".timeline.json") is 255, the longest file name most file systems take.
+    long_id = "v" * 241
+    clip_path.write_text(clip_path.read_text().replace('"VID02"', f'"{long_id}"'))
+    assert main(["report", "--config", config]) == 0
+    names = sorted(p.name for p in (out / "reports").iterdir())
+    assert names == ["VID01.timeline.json", "VID01.txt", f"{long_id}.timeline.json", f"{long_id}.txt"]
 
 
 def test_offline_flag_suppresses_endpoint(workspace, monkeypatch):
@@ -666,6 +710,36 @@ def test_a_wrapper_bound_on_the_cli_is_the_function_detect_calls(workspace, voca
     assert main(["detect", "--config", config]) == 0
     assert calls == [str(logits_path)]
     assert cli.read_logits is wrapper
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_main_runs_the_bound_command_then_writes_its_manifest(workspace, vocab, monkeypatch, capsys, command):
+    import surgreport.cli as cli
+
+    _, out, config = _logits_workspace(workspace, vocab)
+    assert main(["preprocess", "--config", config]) == 0  # report reads its clip captions
+    manifest = out / f"{command}.manifest.json"
+    manifest.unlink(missing_ok=True)
+    run, calls = getattr(cli, f"cmd_{command}"), []
+
+    def wrapper(config, videos):
+        calls.append(videos)
+        return run(config, videos)
+
+    monkeypatch.setattr(cli, f"cmd_{command}", wrapper)
+    capsys.readouterr()
+    assert main([command, "--config", config]) == 0
+    assert calls == [None]
+    printed = capsys.readouterr().out.splitlines()
+    assert printed and all(Path(path).exists() for path in printed)
+    assert json.loads(manifest.read_text())["outputs"] == sorted(Path(path).name for path in printed)
+    # A command that fails writes no manifest, and here nothing else either.
+    manifest.unlink()
+    before = _tree_digest(out)
+    assert main([command, "--config", config, "--videos", "NOPE"]) == 1
+    assert calls == [None, ["NOPE"]]
+    assert capsys.readouterr().err.count("\n") == 1
+    assert _tree_digest(out) == before
 
 
 def test_declared_dependencies_are_the_third_party_imports():
