@@ -184,7 +184,9 @@ def _truth_matrix(records, keys: list, vocab) -> np.ndarray:
     missing = [key for key in keys if key not in frames]
     if missing:
         raise ConfigError(f"logits rows without annotations, e.g. {missing[:3]}")
-    return np.asarray([truth_bits(frames[key], vocab) for key in keys])
+    # One preallocated (N, K) matrix, each row filled as its bits are made.
+    row = np.dtype((float, len(vocab.detection_classes)))
+    return np.fromiter((truth_bits(frames[key], vocab) for key in keys), row, count=len(keys))
 
 
 def cmd_calibrate(config: PipelineConfig, videos: list[str] | None) -> list[Path]:

@@ -13,7 +13,10 @@ vectorized pass (finiteness, duplicate (video, frame) keys); it reports the
 first bad record with its file and line. Squashing and thresholding work on
 any array whose last axis is the class axis, so the pipeline makes one call
 of each per table, and ``threshold_detect`` returns a boolean mask of the
-same shape.
+same shape. Squashing makes one float copy of its input and runs each step
+in place on it. ``write_detections`` turns the columns into Python values
+one block of ``DETECTION_BLOCK_ROWS`` rows at a time, so no list of the
+whole table is built.
 """
 
 from __future__ import annotations
@@ -36,6 +39,10 @@ N_DETECTION_CLASSES = 21
 
 # Keeps log() finite in the cross-entropy and likelihood computations.
 PROBABILITY_FLOOR = 1e-12
+
+# Rows of the detection columns turned into Python values at a time when
+# writing: a few hundred keep the per-row loop fast and the lists small.
+DETECTION_BLOCK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -148,18 +155,40 @@ def unpatchify(patches: PatchSequence) -> np.ndarray:
     return image[:, :, 0] if c == 1 else image
 
 
-def sigmoid(z: np.ndarray) -> np.ndarray:
+def _sigmoid_in_place(z: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-z)), written over ``z``; the same ufuncs in the same order."""
     # exp overflow for very negative z rounds to p = 0.0, which downstream
     # clamping handles; silencing the warning keeps the canonical form.
     with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-np.asarray(z, dtype=float)))
+        np.negative(z, out=z)
+        np.exp(z, out=z)
+        np.add(1.0, z, out=z)
+        np.divide(1.0, z, out=z)
+    return z
+
+
+def _softmax_in_place(z: np.ndarray, axis: int) -> np.ndarray:
+    """exp(z - max) / sum, written over ``z``; the same ufuncs in the same order."""
+    # A shift that overflows (finite logits near +-1e308) goes to -inf, whose
+    # exp is exactly 0.0, the limit the softmax tends to.
+    with np.errstate(over="ignore"):
+        np.subtract(z, z.max(axis=axis, keepdims=True), out=z)
+    np.exp(z, out=z)
+    np.divide(z, z.sum(axis=axis, keepdims=True), out=z)
+    return z
+
+
+def _squashed(z: np.ndarray) -> np.ndarray:
+    """A 0-d result as the numpy scalar the whole-array expression gives."""
+    return z[()] if z.ndim == 0 else z
+
+
+def sigmoid(z: np.ndarray) -> np.ndarray:
+    return _squashed(_sigmoid_in_place(np.array(z, dtype=float)))
 
 
 def softmax(z: np.ndarray, axis: int = -1) -> np.ndarray:
-    z = np.asarray(z, dtype=float)
-    shifted = z - z.max(axis=axis, keepdims=True)
-    exp = np.exp(shifted)
-    return exp / exp.sum(axis=axis, keepdims=True)
+    return _squashed(_softmax_in_place(np.array(z, dtype=float), axis))
 
 
 def probabilities_from_logits(
@@ -168,14 +197,17 @@ def probabilities_from_logits(
     """Map raw scores to [0, 1] after dividing by the temperature.
 
     Sigmoid yields independent per-class probabilities (the multi-label
-    default); softmax yields a distribution summing to one.
+    default); softmax yields a distribution summing to one. The division
+    makes the one copy of the matrix, and the squashing runs in place on it.
     """
     if temperature <= 0:
         raise ValueError(f"temperature must be positive, got {temperature}")
     if mode not in ("sigmoid", "softmax"):
         raise ValueError(f"mode must be 'sigmoid' or 'softmax', got {mode!r}")
-    scaled = np.asarray(logits, dtype=float) / temperature
-    return sigmoid(scaled) if mode == "sigmoid" else softmax(scaled)
+    z = np.asarray(logits, dtype=float)
+    scaled = np.divide(z, temperature, out=np.empty_like(z))
+    squash = _sigmoid_in_place(scaled) if mode == "sigmoid" else _softmax_in_place(scaled, -1)
+    return _squashed(squash)
 
 
 def threshold_detect(
@@ -307,6 +339,26 @@ def write_logits(path: str | Path, records: list[LogitsRecord]) -> int:
     )
 
 
+def _detection_records(
+    table: LogitsTable, probabilities: np.ndarray, detected: np.ndarray, names: tuple[str, ...]
+) -> Iterator[dict]:
+    """One record per row; the columns become Python values a block of rows at a time."""
+    for start in range(0, len(table), DETECTION_BLOCK_ROWS):
+        block = slice(start, start + DETECTION_BLOCK_ROWS)
+        for video_id, frame, probs, hits in zip(
+            table.video_ids[block].tolist(),
+            table.frames[block].tolist(),
+            probabilities[block].tolist(),
+            detected[block].tolist(),
+        ):
+            yield {
+                "video_id": video_id,
+                "frame": frame,
+                "probabilities": probs,
+                "detected": list(compress(names, hits)),
+            }
+
+
 def write_detections(
     path: str | Path,
     table: LogitsTable,
@@ -315,21 +367,5 @@ def write_detections(
     vocab: Vocabulary,
 ) -> int:
     """One record per table row: the logits keys, probabilities and detected class names."""
-    names = vocab.detection_classes
-    return write_jsonl(
-        path,
-        (
-            {
-                "video_id": video_id,
-                "frame": frame,
-                "probabilities": probs,
-                "detected": list(compress(names, hits)),
-            }
-            for video_id, frame, probs, hits in zip(
-                table.video_ids.tolist(),
-                table.frames.tolist(),
-                probabilities.tolist(),
-                detected.tolist(),
-            )
-        ),
-    )
+    records = _detection_records(table, probabilities, detected, vocab.detection_classes)
+    return write_jsonl(path, records)

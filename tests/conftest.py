@@ -5,12 +5,23 @@ import json
 import random
 import socket
 import threading
+import tracemalloc
 
 import pytest
 
 from surgreport.dataset import FrameAnnotation, Triplet, VideoRecord
 from surgreport.detection import LogitsRecord, truth_bits
 from surgreport.vocab import NULL_TARGET_NAME, NULL_VERB_NAME, default_vocabulary
+
+
+def traced_peak(action) -> int:
+    """The most memory Python and numpy held at once while ``action()`` ran, in bytes."""
+    tracemalloc.start()
+    try:
+        action()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture(scope="session")

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from surgreport.cli import COMMANDS, main
 from surgreport.dataset import write_annotations
-from surgreport.detection import write_logits
+from surgreport.detection import LogitsRecord, write_logits
 from surgreport.embeddings import EmbeddingTable, deterministic_token_embeddings, embedding_key
 from surgreport.jsonl import read_jsonl
 from surgreport.metrics import tokenize
@@ -195,6 +195,23 @@ def test_detect_videos_filter(workspace, vocab):
     assert [(r["video_id"], r["frame"]) for r in rows] == [
         ("VID02", f.frame_index) for f in records[1].frames
     ]
+
+
+def test_detect_softmax_of_logits_near_the_float_limit_is_silent(tmp_path):
+    # The shift z - max overflows to -inf, whose exp is exactly 0.0.
+    logits = tmp_path / "logits.jsonl"
+    write_logits(logits, [LogitsRecord("VID01", 0, tuple([1e308] + [-1e308] * 20))])
+    out = tmp_path / "out"
+    config = write_config(
+        tmp_path / "config.yaml", paths={"logits": str(logits), "output_dir": str(out)}
+    )
+    result = subprocess.run(
+        [sys.executable, "-m", "surgreport.cli", "detect", "--config", config, "--mode", "softmax"],
+        capture_output=True, text=True, env=_source_env(),
+    )
+    assert (result.returncode, result.stderr) == (0, "")
+    [row] = read_jsonl(out / "detections.jsonl")
+    assert row["probabilities"] == [1.0] + [0.0] * 20
 
 
 def test_detect_unknown_video(workspace, vocab, capsys):
@@ -650,12 +667,17 @@ def test_evaluate_blank_reference_caption(workspace, vocab, capsys):
     assert err == f"error: frame_captions: reference caption {key} in {reference} is blank\n"
 
 
+def _source_env() -> dict[str, str]:
+    """The environment of a fresh interpreter that imports this source tree."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+
+
 def _python(code: str, *args: str) -> str:
     """The stdout of ``code`` run in a fresh interpreter that imports this source tree."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     result = subprocess.run(
-        [sys.executable, "-c", code, *args], capture_output=True, text=True, env=env, check=True
+        [sys.executable, "-c", code, *args],
+        capture_output=True, text=True, env=_source_env(), check=True,
     )
     return result.stdout
 

@@ -7,26 +7,30 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
+from hypothesis.extra.numpy import array_shapes, arrays
 
+from surgreport import cli
 from surgreport.detection import (
     ClassWeights,
+    LogitsTable,
     class_weights,
     patch_count,
     patchify,
     probabilities_from_logits,
     read_logits,
+    sigmoid,
     softmax,
     threshold_detect,
     truth_bits,
     unpatchify,
     weighted_bce,
+    write_detections,
     write_logits,
     LogitsRecord,
 )
 from surgreport.errors import RecordError
 
-from conftest import frame
+from conftest import frame, make_corpus, traced_peak
 
 
 def test_patch_count_standard_input():
@@ -120,6 +124,84 @@ def test_softmax_sums_to_one_and_argmax_invariant(logits, temperature):
     scaled = probabilities_from_logits(logits, "softmax", temperature)
     assert abs(scaled.sum() - 1.0) < 1e-9
     assert int(np.argmax(base)) == int(np.argmax(scaled))
+
+
+# Reference squashes, each one whole-array expression: the in-place steps
+# must give exactly their bits.
+def _sigmoid_oracle(z):
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-np.asarray(z, dtype=float)))
+
+
+def _softmax_oracle(z, axis=-1):
+    z = np.asarray(z, dtype=float)
+    shifted = z - z.max(axis=axis, keepdims=True)
+    exp = np.exp(shifted)
+    return exp / exp.sum(axis=axis, keepdims=True)
+
+
+def _probabilities_oracle(logits, mode, temperature):
+    scaled = np.asarray(logits, dtype=float) / temperature
+    return _sigmoid_oracle(scaled) if mode == "sigmoid" else _softmax_oracle(scaled)
+
+
+def _same_bits(got, want) -> bool:
+    return (
+        type(got) is type(want)
+        and np.shape(got) == np.shape(want)
+        and np.asarray(got).tobytes() == np.asarray(want).tobytes()
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    logits=arrays(
+        np.float64,
+        array_shapes(min_dims=1, max_dims=2, min_side=1, max_side=21),
+        elements=st.one_of(st.floats(-30, 30), st.floats(-1e300, 1e300)),
+    ),
+    temperature=st.sampled_from([0.5, 1.0, 3.0]),
+    mode=st.sampled_from(["sigmoid", "softmax"]),
+)
+def test_in_place_squash_is_bitwise_equal_to_the_whole_array_expressions(
+    logits, temperature, mode
+):
+    before = logits.copy()
+    assert _same_bits(
+        probabilities_from_logits(logits, mode, temperature),
+        _probabilities_oracle(logits, mode, temperature),
+    )
+    assert _same_bits(sigmoid(logits), _sigmoid_oracle(logits))
+    assert _same_bits(softmax(logits), _softmax_oracle(logits))
+    assert _same_bits(softmax(logits, axis=0), _softmax_oracle(logits, axis=0))
+    assert logits.tobytes() == before.tobytes()
+
+
+@pytest.mark.parametrize("value", [0.7, -800.0, np.float64(-2.5), np.array(1.25), [0.3, -4.0, 12.0]])
+def test_sigmoid_takes_scalars_0d_arrays_and_lists(value):
+    for temperature in (0.5, 1.0, 3.0):
+        assert _same_bits(
+            probabilities_from_logits(value, "sigmoid", temperature),
+            _probabilities_oracle(value, "sigmoid", temperature),
+        )
+    assert _same_bits(sigmoid(value), _sigmoid_oracle(value))
+
+
+@pytest.mark.parametrize("value", [[0.3, -4.0, 12.0], [[1.0, 2.0], [3.0, -1.0]]])
+def test_softmax_takes_lists(value):
+    for temperature in (0.5, 1.0, 3.0):
+        assert _same_bits(
+            probabilities_from_logits(value, "softmax", temperature),
+            _probabilities_oracle(value, "softmax", temperature),
+        )
+    assert _same_bits(softmax(value), _softmax_oracle(value))
+
+
+def test_softmax_shift_overflow_is_silent_and_exact():
+    z = np.array([[1e308] + [-1e308] * 20, [-1e308] * 20 + [1e308]])
+    with np.errstate(all="raise"):
+        probs = probabilities_from_logits(z, "softmax")
+    assert probs.tolist() == [[1.0] + [0.0] * 20, [0.0] * 20 + [1.0]]
 
 
 def test_threshold_detect_basic():
@@ -351,3 +433,48 @@ def test_read_logits_raises_at_the_first_faulty_line(tmp_path, bad_row):
     with pytest.raises(RecordError) as exc:
         read_logits(path)
     assert exc.value.line == 3
+
+
+# Memory guards: the traced peak of each step on a 20,000-row table, as a
+# multiple of the bytes of its (N, 21) float matrix.
+GUARD_ROWS = 20_000
+
+
+@pytest.fixture(scope="module")
+def guard_logits():
+    return np.random.default_rng(3).normal(0.0, 3.0, (GUARD_ROWS, 21))
+
+
+@pytest.mark.parametrize(
+    "squash, bound",
+    [
+        (lambda z: probabilities_from_logits(z, "sigmoid"), 1.1),
+        (sigmoid, 1.1),
+        (lambda z: probabilities_from_logits(z, "softmax", 2.0), 2.1),
+        (softmax, 2.1),
+    ],
+    ids=["sigmoid-mode", "sigmoid", "softmax-mode", "softmax"],
+)
+def test_squash_peak_is_one_copy_of_the_matrix(guard_logits, squash, bound):
+    assert traced_peak(lambda: squash(guard_logits)) <= bound * guard_logits.nbytes
+
+
+def test_write_detections_peak_is_a_small_share_of_the_matrix(tmp_path, vocab, guard_logits):
+    ids = np.array([f"VID{i % 50:02d}" for i in range(GUARD_ROWS)])
+    table = LogitsTable(ids, np.arange(GUARD_ROWS, dtype=np.int64), guard_logits)
+    probs = probabilities_from_logits(guard_logits)
+    detected = threshold_detect(probs)
+    path = tmp_path / "detections.jsonl"
+    peak = traced_peak(lambda: write_detections(path, table, probs, detected, vocab))
+    assert peak < 0.25 * guard_logits.nbytes
+
+
+def test_truth_matrix_peak_is_below_two_matrices(vocab):
+    cli._bind_deferred()
+    records = make_corpus(vocab, n_videos=10, n_frames=GUARD_ROWS // 10, seed=4)
+    keys = [(r.video_id, f.frame_index) for r in records for f in r.frames]
+    assert len(keys) == GUARD_ROWS
+    matrix = cli._truth_matrix(records, keys, vocab)
+    assert matrix.tolist() == [truth_bits(f, vocab).tolist() for r in records for f in r.frames]
+    peak = traced_peak(lambda: cli._truth_matrix(records, keys, vocab))
+    assert peak <= 2 * matrix.nbytes

@@ -5,7 +5,6 @@ import io
 import json
 import os
 import stat
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +25,8 @@ from surgreport.jsonl import (
     write_jsonl,
     write_text,
 )
+
+from conftest import traced_peak
 
 RECORDS = [
     {"video_id": "VID01", "frame": 0, "text": "Grasper — retracts the gallbladder.", "p": [0.1, 1e-300]},
@@ -328,15 +329,6 @@ def test_record_line_reads_the_decoded_lines(tmp_path):
 
 # Loading or writing a record file holds one line at a time, so the traced
 # peak stays below the file size (a whole-file read holds several copies).
-def _traced_peak(action) -> int:
-    tracemalloc.start()
-    try:
-        action()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def _embedding_records(n: int):
     rng = np.random.default_rng(0)
     for i in range(n):
@@ -348,7 +340,7 @@ def test_embedding_load_peak_is_below_the_file_size(tmp_path):
     write_jsonl(path, _embedding_records(200))
     size = path.stat().st_size
     assert size > 2_000_000
-    assert _traced_peak(lambda: EmbeddingTable.load(path)) < size
+    assert traced_peak(lambda: EmbeddingTable.load(path)) < size
 
 
 def test_read_logits_peak_is_below_the_file_size(tmp_path):
@@ -360,10 +352,10 @@ def test_read_logits_peak_is_below_the_file_size(tmp_path):
     )
     size = path.stat().st_size
     assert size > 2_000_000
-    assert _traced_peak(lambda: read_logits(path)) < size
+    assert traced_peak(lambda: read_logits(path)) < size
 
 
 def test_write_jsonl_peak_is_below_the_file_size(tmp_path):
     path = tmp_path / "embeddings.jsonl"
-    peak = _traced_peak(lambda: write_jsonl(path, _embedding_records(200)))
+    peak = traced_peak(lambda: write_jsonl(path, _embedding_records(200)))
     assert peak < path.stat().st_size
