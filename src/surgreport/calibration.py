@@ -190,7 +190,7 @@ def fit_temperature(
     mean NLL (convex, unlike the clipped `nll`). The slope's sign shrinks a
     bracket; a step out of it goes to an untried end of the range (an optimum
     beyond it gives exactly that end) or else bisects. T = 1 is kept whenever
-    its `nll` is no worse.
+    its `nll` is no worse. Logits whose NLL is not finite raise ValueError.
     """
     t_lo, t_hi = search_range
     if not 0 < t_lo < t_hi:
@@ -207,21 +207,29 @@ def fit_temperature(
 
     lo, hi = b_lo, b_hi = 1.0 / t_hi, 1.0 / t_lo
     beta, untried = min(max(1.0, lo), hi), {lo, hi}
-    for _ in range(100):  # bisection alone meets the 1e-12 stop in about 50 steps
-        untried.discard(beta)
-        slope, curvature = _nll_slope(z, bits, beta, mode)
-        lo, hi = (lo, beta) if slope > 0 else (beta, hi)
-        end = lo if slope > 0 else hi
-        target = beta - slope / curvature if curvature > 0 else end
-        if not lo < target < hi:
-            target = end if end in untried else (lo + hi) / 2.0
-        if slope == 0 or abs(target - beta) <= 1e-12 * beta:
-            break
-        beta = target
-    t_star = t_hi if beta == b_lo else t_lo if beta == b_hi else 1.0 / beta
+    # Logits near the float limit overflow the slope terms; a NaN slope or
+    # curvature falls back to the bracket, and a non-finite NLL is refused below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(100):  # bisection alone meets the 1e-12 stop in about 50 steps
+            untried.discard(beta)
+            slope, curvature = _nll_slope(z, bits, beta, mode)
+            lo, hi = (lo, beta) if slope > 0 else (beta, hi)
+            end = lo if slope > 0 else hi
+            target = beta - slope / curvature if curvature > 0 else end
+            if not lo < target < hi:
+                target = end if end in untried else (lo + hi) / 2.0
+            if slope == 0 or abs(target - beta) <= 1e-12 * beta:
+                break
+            beta = target
+        t_star = t_hi if beta == b_lo else t_lo if beta == b_hi else 1.0 / beta
 
-    nll_before = nll(z, bits, 1.0, mode)
-    nll_after = nll(z, bits, t_star, mode)
+        nll_before = nll(z, bits, 1.0, mode)
+        nll_after = nll(z, bits, t_star, mode)
+    if not np.isfinite([nll_before, nll_after]).all():
+        raise ValueError(
+            f"the logits overflow the likelihood: NLL {nll_before} at T = 1 and "
+            f"{nll_after} at T = {t_star:.6g}"
+        )
     if t_lo <= 1.0 <= t_hi and nll_before <= nll_after:
         t_star, nll_after = 1.0, nll_before
     bins_before, bins_after = (

@@ -39,7 +39,9 @@ from .config import PipelineConfig, config_hash, load_config, validate_paths
 from .dataset import load_annotations, phase_duration_table, split_dataset
 from .errors import ConfigError, EndpointError, RecordError, SurgReportError
 from .jsonl import record_line, write_jsonl, write_text
-from .report import llm_generate, merge_timeline, offline_report, render_prompt, write_report
+from .report import (
+    llm_generate, merge_timeline, offline_report, render_prompt, render_timeline, write_report
+)
 from .windowing import window_video, write_clip_manifest
 
 # Name -> the module it comes from, for the names that load numpy.
@@ -211,13 +213,16 @@ def cmd_calibrate(config: PipelineConfig, videos: list[str] | None) -> list[Path
         )
     z = table.values[[row_of[ref] for ref in validation]]
     y = _truth_matrix(records, validation, vocab)
-    result = fit_temperature(
-        z,
-        y,
-        mode=config.detection.mode,
-        search_range=(config.calibration.t_lo, config.calibration.t_hi),
-        bin_count=config.calibration.bins,
-    )
+    try:
+        result = fit_temperature(
+            z,
+            y,
+            mode=config.detection.mode,
+            search_range=(config.calibration.t_lo, config.calibration.t_hi),
+            bin_count=config.calibration.bins,
+        )
+    except ValueError as exc:  # the config is checked, so only the logits are left to fail
+        raise RecordError(str(exc), config.paths.logits) from None
     out = _make_output_dir(config)
     outputs = [
         out / "calibration.json",
@@ -368,17 +373,21 @@ def cmd_report(config: PipelineConfig, videos: list[str] | None) -> list[Path]:
     selected = {v: by_video[v] for v in videos} if videos else by_video
 
     report_dir = config.output_dir() / "reports"
+    endpoint = None if config.report.offline else config.report.endpoint
+    rendered: dict[str, str] = {}  # each timeline's sidecar text, kept for the endpoint reports
     outputs: list[Path] = []
-    for _, clips in sorted(selected.items()):
+    for video_id, clips in sorted(selected.items()):
         timeline = merge_timeline(clips)
-        outputs.append(write_report(report_dir, offline_report(timeline, vocab), vocab))
+        text = render_timeline(timeline, vocab)
+        if endpoint is not None:
+            rendered[video_id] = text
+        outputs.append(write_report(report_dir, offline_report(timeline, vocab), text))
 
-    endpoint = config.report.endpoint
-    if endpoint is not None and not config.report.offline:
+    if endpoint is not None:
         def generate(item):
             video_id, clips = item
             report = llm_generate(render_prompt(clips), endpoint)
-            return write_report(report_dir, report, vocab, suffix=".llm")
+            return write_report(report_dir, report, rendered[video_id], ".llm")
 
         with ThreadPoolExecutor(max_workers=endpoint.parallelism) as pool:
             try:

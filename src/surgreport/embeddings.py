@@ -5,9 +5,10 @@ from a line-delimited file keyed by a hash of the token sequence:
 
     {"key": "<sha256>", "dim": 64, "vectors": [[...], ...]}
 
-Vectors are unit-normalized on load. ``deterministic_token_embeddings``
-provides a reproducible stand-in provider for demos and tests; it is not a
-contextual encoder.
+``load`` checks each entry's shape, that its values are finite and that no
+row is zero. Vectors are unit-normalized at lookup, one text at a time.
+``deterministic_token_embeddings`` provides a reproducible stand-in
+provider for demos and tests; it is not a contextual encoder.
 """
 
 from __future__ import annotations
@@ -102,6 +103,9 @@ class EmbeddingTable:
             # Zero-norm rows would fail normalization at lookup.
             if vectors.ndim != 2 or vectors.shape[1] != dim or not np.linalg.norm(vectors, axis=1).all():
                 message = f"embedding entry {key}: vectors must be nonzero rows of {dim} numbers"
+                raise RecordError(message, str(path), lineno)
+            if not np.isfinite(vectors).all():  # json decodes NaN and Infinity; NaN passes the norm
+                message = f"embedding entry {key}: vectors must be finite"
                 raise RecordError(message, str(path), lineno)
             table._entries[key] = vectors
         return table

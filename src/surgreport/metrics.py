@@ -8,9 +8,12 @@ tokenize reproducibly.
 
 A corpus evaluation tokenizes each distinct text once and scores each
 distinct (generated, reference) pair once. BLEU and ROUGE-1/2 score from
-clipped n-gram matches, counted columnar: every pair's n-grams become
-integer ``(pair, gram)`` codes, counted on each side with ``np.unique`` and
-matched with ``np.intersect1d``; the per-pair float math stays in Python.
+clipped n-gram matches, counted columnar in blocks of consecutive pairs
+under a fixed token budget (``MATCH_BLOCK_TOKENS``): each pair's n-grams in
+a block become integer ``(pair, gram)`` codes, counted on each side with
+``np.unique`` and matched with ``np.intersect1d``; the per-pair float math
+stays in Python. BERTScore looks up and normalizes the embeddings of one
+pair at a time.
 ROUGE-L takes its longest common subsequence from the bit-parallel
 LCS-length recurrence (Allison & Dix, IPL 1986; Hyyrö, AWOCA 2004), which
 gives the same integer as the quadratic dynamic program.
@@ -18,6 +21,7 @@ gives the same integer as the quadratic dynamic program.
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
 from dataclasses import dataclass, fields
 from itertools import chain
@@ -29,6 +33,8 @@ import numpy as np
 from .embeddings import EmbeddedText, EmbeddingTable
 
 _PUNCTUATION = ".,;:!?\"'()[]{}"
+# Candidate plus reference tokens per block of ``_clipped_matches``.
+MATCH_BLOCK_TOKENS = 4096
 
 
 def tokenize(text: str) -> list[str]:
@@ -62,17 +68,42 @@ def _clipped_matches(
     """Clipped n-gram matches of each (candidate, reference) pair of ``texts`` indices.
 
     Entry n - 1 of a pair's row counts the candidate's n-grams that the
-    reference holds, each at most as often as the reference holds it. All
-    tokens share one flat id array. The n-gram at each position gets the
-    dense id of its (n-1)-gram id and its last token; ``np.unique``
+    reference holds, each at most as often as the reference holds it. A
+    pair's matches do not depend on the other pairs, so consecutive pairs
+    are counted in blocks of at most ``MATCH_BLOCK_TOKENS`` candidate plus
+    reference tokens (a longer pair is a block of its own), and the arrays
+    of one block are all that is held at a time.
+    """
+    rows: list[list[int]] = []
+    block: list[tuple[int, int]] = []
+    size = 0
+    for pair in pairs:
+        tokens = len(texts[pair[0]]) + len(texts[pair[1]])
+        if block and size + tokens > MATCH_BLOCK_TOKENS:
+            rows += _block_matches(texts, block, max_n)
+            block, size = [], 0
+        block.append(pair)
+        size += tokens
+    return rows + _block_matches(texts, block, max_n) if block else rows
+
+
+def _block_matches(
+    texts: list[list[str]], pairs: list[tuple[int, int]], max_n: int
+) -> list[list[int]]:
+    """``_clipped_matches`` of one block, counted columnar.
+
+    The block's tokens share one flat id array. The n-gram at each position
+    gets the dense id of its (n-1)-gram id and its last token; ``np.unique``
     re-densifies at every order, so codes stay below (token count) times
     max(token count, pair count), never (vocabulary size)**n.
     """
+    slot = {i: k for k, i in enumerate(dict.fromkeys(chain.from_iterable(pairs)))}
+    texts = [texts[i] for i in slot]
     ids: dict[str, int] = {}
     flat = np.array([ids.setdefault(t, len(ids)) for text in texts for t in text], dtype=np.int64)
     lengths = np.array([len(text) for text in texts], dtype=np.int64)
     offsets = np.cumsum(lengths) - lengths
-    sides = np.array(pairs, dtype=np.int64).T
+    sides = np.array([(slot[c], slot[r]) for c, r in pairs], dtype=np.int64).T
     matches = np.zeros((max_n, len(pairs)), dtype=np.int64)
     grams, width = flat, len(ids)
     for n in range(1, max_n + 1):
@@ -308,6 +339,33 @@ class MetricReport:
         return {field.name: getattr(self, field.name) for field in fields(self)}
 
 
+def _pairwise_bertscore(
+    table: EmbeddingTable, tokens: list[list[str]], indices: list[tuple[int, int]]
+) -> list[BertScore] | None:
+    """BERTScore of each pair, or None when some text has no entry in ``table``.
+
+    Each pair's two texts are looked up, normalized and scored, then
+    dropped, so at most two normalized copies are alive. The pairs name
+    their texts first in ``tokens`` order, so a malformed entry raises at
+    the first text that names it unless an earlier text has no entry. A
+    pair that ``bertscore`` rejects raises only once every text has one.
+    """
+    scores: list[BertScore] = []
+    problem: ValueError | None = None
+    for cand, ref in indices:
+        candidate = table.get(tokens[cand])
+        reference = None if candidate is None else table.get(tokens[ref])
+        if reference is None:
+            return None
+        try:
+            scores.append(bertscore(candidate, reference))
+        except ValueError as exc:
+            problem = problem or exc
+    if problem is not None:
+        raise problem
+    return scores
+
+
 def aggregate_caption_metrics(
     pairs: list[tuple[str, str]], embedding_table: EmbeddingTable | None = None
 ) -> MetricReport:
@@ -316,15 +374,17 @@ def aggregate_caption_metrics(
     Each metric is the mean of per-pair sentence scores. BERTScore is
     computed only when the table provides embeddings for every caption in
     the corpus; otherwise those fields stay None. Each distinct text is
-    tokenized and looked up once and each distinct pair scored once; the
-    scores are expanded back to input order before every mean, so each mean
-    sums the same floats in the same order.
+    tokenized once and each distinct pair scored once, its two texts'
+    embeddings looked up for that pair alone; the scores are expanded back
+    to input order before every mean, so each mean sums the same floats in
+    the same order.
     """
     if not pairs:
         raise ValueError("cannot aggregate metrics over an empty corpus")
     distinct = {pair: k for k, pair in enumerate(dict.fromkeys(pairs))}
     slot = {text: i for i, text in enumerate(dict.fromkeys(chain.from_iterable(distinct)))}
-    tokens = [tokenize(text) for text in slot]
+    # Interned, each distinct token is one string however many texts hold it.
+    tokens = [list(map(sys.intern, tokenize(text))) for text in slot]
     indices = [(slot[generated], slot[reference]) for generated, reference in distinct]
     if not all(tokens[ref] for _, ref in indices):
         raise ValueError("reference must be non-empty")
@@ -338,13 +398,9 @@ def aggregate_caption_metrics(
         for (cand, ref), matched in zip(indices, _clipped_matches(tokens, indices, 4))
     ]
     if embedding_table is not None:
-        embedded = []
-        for text in tokens:  # in the order the pairs first name them; stop at a miss
-            embedded.append(embedding_table.get(text))
-            if embedded[-1] is None:
-                break
-        else:
-            rows = [row + bertscore(embedded[c], embedded[r]) for row, (c, r) in zip(rows, indices)]
+        bert = _pairwise_bertscore(embedding_table, tokens, indices)
+        if bert is not None:
+            rows = [row + scores for row, scores in zip(rows, bert)]
     order = np.array([distinct[pair] for pair in pairs])
     # MetricReport's first fields are bleu, rouge1, rouge2, rougeL and the BERT triple.
     return MetricReport(*(float(np.mean(np.array(column)[order])) for column in zip(*rows)))

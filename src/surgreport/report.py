@@ -311,16 +311,23 @@ def timeline_record(timeline: MergedTimeline, vocab: Vocabulary) -> dict:
     }
 
 
-def write_report(directory: str | Path, report: SurgicalReport, vocab: Vocabulary, suffix: str = "") -> Path:
-    """Write the narrative text plus a structured timeline sidecar."""
+def render_timeline(timeline: MergedTimeline, vocab: Vocabulary) -> str:
+    """The sidecar's ``timeline`` value, indented as one level inside the sidecar."""
+    return json.dumps(timeline_record(timeline, vocab), indent=2).replace("\n", "\n  ")
+
+
+def write_report(directory: str | Path, report: SurgicalReport, timeline: str, suffix: str = "") -> Path:
+    """Write the narrative text plus a structured timeline sidecar.
+
+    ``timeline`` is ``render_timeline`` of the report's timeline, so a
+    video's two reports share one encoding of it. The sidecar is
+    ``json.dumps({"provenance": ..., "timeline": ...}, indent=2)``.
+    """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     text_path = directory / f"{report.video_id}{suffix}.txt"
     write_text(text_path, report.narrative + "\n")
-    sidecar = {
-        "provenance": report.provenance,
-        "timeline": timeline_record(report.timeline, vocab),
-    }
+    provenance = json.dumps(report.provenance)
     sidecar_path = directory / f"{report.video_id}{suffix}.timeline.json"
-    write_text(sidecar_path, json.dumps(sidecar, indent=2) + "\n")
+    write_text(sidecar_path, f'{{\n  "provenance": {provenance},\n  "timeline": {timeline}\n}}\n')
     return text_path

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from surgreport.cli import COMMANDS, main
 from surgreport.dataset import write_annotations
-from surgreport.detection import LogitsRecord, write_logits
+from surgreport.detection import LogitsRecord, truth_bits, write_logits
 from surgreport.embeddings import EmbeddingTable, deterministic_token_embeddings, embedding_key
 from surgreport.jsonl import read_jsonl
 from surgreport.metrics import tokenize
@@ -212,6 +212,33 @@ def test_detect_softmax_of_logits_near_the_float_limit_is_silent(tmp_path):
     assert (result.returncode, result.stderr) == (0, "")
     [row] = read_jsonl(out / "detections.jsonl")
     assert row["probabilities"] == [1.0] + [0.0] * 20
+
+
+def test_calibrate_of_logits_that_overflow_the_likelihood_ends_in_one_error_line(workspace, vocab):
+    # Softmax of +-1e308 puts 0 * -inf into the NLL, which is NaN at every T.
+    tmp_path, records, annotations, out, _ = workspace
+    logits = tmp_path / "logits.jsonl"
+    rows = [
+        LogitsRecord(rec.video_id, f.frame_index, tuple(1e308 if b else -1e308 for b in truth_bits(f, vocab)))
+        for rec in records
+        for f in rec.frames
+    ]
+    write_logits(logits, rows)
+    config = write_config(
+        tmp_path / "config.yaml",
+        paths={"annotations": str(annotations), "logits": str(logits), "output_dir": str(out)},
+    )
+    result = subprocess.run(
+        [sys.executable, "-m", "surgreport.cli", "calibrate", "--config", config,
+         "--mode", "softmax"],
+        capture_output=True, text=True, env=_source_env(),
+    )
+    assert result.returncode == 1
+    assert result.stderr == (
+        f"error: {logits}: the logits overflow the likelihood: NLL nan at T = 1 and nan at T = 1\n"
+    )
+    assert not (out / "calibration.json").exists()
+    assert not (out / "calibrate.manifest.json").exists()
 
 
 def test_detect_unknown_video(workspace, vocab, capsys):
@@ -897,6 +924,16 @@ BAD_RECORDS = {
         "embeddings", "evaluate",
         '{"key": "x", "dim": 2, "vectors": [[1.0, 0.0], [0.0, 0.0]]}',
         "embedding entry x: vectors must be nonzero rows of 2 numbers",
+    ),
+    "embeddings-nan": (
+        "embeddings", "evaluate",
+        '{"key": "x", "dim": 2, "vectors": [[NaN, 1.0]]}',
+        "embedding entry x: vectors must be finite",
+    ),
+    "embeddings-infinity": (
+        "embeddings", "evaluate",
+        '{"key": "x", "dim": 2, "vectors": [[1.0, 0.0], [-Infinity, 1.0]]}',
+        "embedding entry x: vectors must be finite",
     ),
     "embeddings-not-an-object": (
         "embeddings", "evaluate",

@@ -6,11 +6,15 @@ import random
 from collections import Counter
 from dataclasses import fields, replace
 
+from itertools import chain
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from surgreport import metrics
 from surgreport.detection import threshold_detect
 from surgreport.embeddings import (
     EmbeddedText,
@@ -30,6 +34,8 @@ from surgreport.metrics import (
     rouge,
     tokenize,
 )
+
+from conftest import traced_peak
 
 
 def test_tokenize_lowercases_and_separates_punctuation():
@@ -661,3 +667,128 @@ def test_public_bleu_and_rouge_equal_the_counter_oracle(candidate, reference, ma
         expected = _rouge_n_oracle(ngram_counts(candidate, n), ngram_counts(reference, n))
         assert rouge(candidate, reference, variant) == expected
     assert rouge(candidate, reference, "rL") == _rouge_l_oracle(candidate, reference)
+
+
+# Blocked counting: a pair's clipped matches do not depend on the other pairs.
+_texts = st.lists(st.lists(st.sampled_from("abcde"), max_size=30), min_size=1, max_size=10)
+
+
+@st.composite
+def _texts_and_pairs(draw):
+    """Texts, some longer than a small budget, and pairs of them with repeats."""
+    texts = draw(_texts)
+    index = st.integers(0, len(texts) - 1)
+    return texts, draw(st.lists(st.tuples(index, index), min_size=1, max_size=20))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_texts_and_pairs(), st.integers(1, 40), st.integers(1, 5))
+def test_blocked_matches_equal_one_block_and_the_counter_oracle(corpus, budget, max_n):
+    texts, pairs = corpus
+    expected = [
+        [
+            _overlap_oracle(ngram_counts(texts[c], n), ngram_counts(texts[r], n))
+            for n in range(1, max_n + 1)
+        ]
+        for c, r in pairs
+    ]
+    for tokens in (1, budget, metrics.MATCH_BLOCK_TOKENS, 10**9):
+        with mock.patch.object(metrics, "MATCH_BLOCK_TOKENS", tokens):
+            assert metrics._clipped_matches(texts, pairs, max_n) == expected
+
+
+def test_budget_of_one_token_counts_each_pair_alone():
+    texts = [["a", "b"], ["a"], [], ["b", "b"]]
+    pairs = [(0, 1), (2, 3), (3, 0), (1, 1)]
+    with mock.patch.object(metrics, "_block_matches", wraps=metrics._block_matches) as block:
+        with mock.patch.object(metrics, "MATCH_BLOCK_TOKENS", 1):
+            metrics._clipped_matches(texts, pairs, 2)
+    assert [len(call.args[1]) for call in block.call_args_list] == [1, 1, 1, 1]
+
+
+def test_counting_peak_does_not_grow_with_the_pair_count():
+    # Clip-caption-sized texts: 1x is 100 pairs (~60k tokens), 4x is 400.
+    rng = random.Random(5)
+    words = [f"w{i}" for i in range(300)]
+
+    def corpus(n):
+        texts = [[rng.choice(words) for _ in range(rng.randint(200, 400))] for _ in range(2 * n)]
+        return texts, [(2 * k, 2 * k + 1) for k in range(n)]
+
+    (small, small_pairs), (large, large_pairs) = corpus(100), corpus(400)
+    one = traced_peak(lambda: metrics._clipped_matches(small, small_pairs, 4))
+    four = traced_peak(lambda: metrics._clipped_matches(large, large_pairs, 4))
+    assert four <= 1.2 * one
+
+
+# BERTScore as it was computed before pairs were scored one at a time: every
+# distinct text looked up (and normalized) first, in the order the pairs first
+# name them, stopping at the first miss; then each pair scored.
+def _all_texts_first_bertscore(table, tokens, indices):
+    embedded = []
+    for text in tokens:
+        embedded.append(table.get(text))
+        if embedded[-1] is None:
+            return None
+    return [bertscore(embedded[c], embedded[r]) for c, r in indices]
+
+
+def _bert_outcome(score, table, pairs):
+    distinct = list(dict.fromkeys(pairs))
+    slot = {text: i for i, text in enumerate(dict.fromkeys(chain.from_iterable(distinct)))}
+    tokens = [tokenize(text) for text in slot]
+    try:
+        return score(table, tokens, [(slot[g], slot[r]) for g, r in distinct])
+    except Exception as exc:  # RecordError for a malformed entry, ValueError from bertscore
+        return type(exc), str(exc)
+
+
+@st.composite
+def _embedding_corpora(draw):
+    """Pairs and a table whose entries may be missing, short, of another dim or empty."""
+    pool = draw(st.lists(_caption, min_size=1, max_size=6))
+    text = st.sampled_from(pool)
+    pairs = draw(st.lists(st.tuples(text, text), min_size=1, max_size=10))
+    table = EmbeddingTable()
+    for text in sorted({text for pair in pairs for text in pair}):
+        tokens = tokenize(text)
+        entry = draw(st.sampled_from(["ok", "ok", "ok", "missing", "short", "dim"]))
+        if entry == "missing":
+            continue
+        vectors = deterministic_token_embeddings(tokens, dim=4 if entry == "dim" else 8)
+        table.put(tokens, vectors[:-1] if entry == "short" and tokens else vectors)
+    return pairs, table
+
+
+@settings(max_examples=300, deadline=None)
+@given(_embedding_corpora())
+def test_pairwise_bertscore_equals_all_texts_first(corpus):
+    pairs, table = corpus
+    expected = _bert_outcome(_all_texts_first_bertscore, table, pairs)
+    assert _bert_outcome(metrics._pairwise_bertscore, table, pairs) == expected
+
+
+@pytest.mark.parametrize(
+    "entries, expected",
+    [
+        pytest.param(
+            {"a": 8, "b": 4, "c": 4}, (ValueError, "embedding dimensions differ: 8 vs 4"), id="dims"
+        ),
+        pytest.param({"a": 8, "b": 4, "c": None}, None, id="dims-then-missing"),
+        pytest.param({"a": 8, "b": "short", "c": None}, "short", id="short-then-missing"),
+        pytest.param({"a": None, "b": "short", "c": 8}, None, id="missing-then-short"),
+    ],
+)
+def test_pairwise_bertscore_keeps_the_order_of_errors_and_misses(entries, expected):
+    table = EmbeddingTable()
+    for text, entry in entries.items():
+        if entry is not None:
+            vectors = deterministic_token_embeddings([text], dim=8 if entry == "short" else entry)
+            table.put([text], vectors[:0] if entry == "short" else vectors)
+    pairs = [("a", "b"), ("b", "c"), ("c", "a")]
+    outcome = _bert_outcome(metrics._pairwise_bertscore, table, pairs)
+    assert outcome == _bert_outcome(_all_texts_first_bertscore, table, pairs)
+    if expected == "short":
+        assert outcome[1].endswith("1 tokens but 0 vectors")
+    else:
+        assert outcome == expected

@@ -5,6 +5,7 @@ import logging
 import math
 import random
 import socket
+from dataclasses import replace
 
 import pytest
 
@@ -20,6 +21,8 @@ from surgreport.report import (
     merge_timeline,
     offline_report,
     render_prompt,
+    render_timeline,
+    timeline_record,
     write_report,
 )
 
@@ -452,9 +455,26 @@ def test_llm_generate_never_logs_credential(vocab, monkeypatch, caplog):
 def test_write_report_text_and_sidecar(tmp_path, vocab):
     timeline = merge_timeline([full_phase_clip(vocab, 0)])
     report = offline_report(timeline, vocab)
-    path = write_report(tmp_path, report, vocab)
+    path = write_report(tmp_path, report, render_timeline(timeline, vocab))
     assert path.read_text(encoding="utf-8").startswith("The preparation phase lasted 32 seconds")
     sidecar = json.loads((tmp_path / "VID01.timeline.json").read_text(encoding="utf-8"))
     assert sidecar["provenance"] == "offline"
     assert sidecar["timeline"]["total_seconds"] == 32
     assert sidecar["timeline"]["entries"][0]["phase"] == "preparation"
+
+
+@pytest.mark.parametrize("provenance", ["offline", "llm:m", 'llm:"quoted" \\ model', "llm:modèle"])
+def test_sidecar_is_the_indented_dump_of_provenance_and_timeline(tmp_path, vocab, provenance):
+    clips = [
+        full_phase_clip(vocab, 0),
+        full_phase_clip(vocab, 16, "calot-triangle-dissection", actions=()),
+        full_phase_clip(
+            vocab, 48, actions=(triplet(vocab, "hook"), triplet(vocab, "grasper", "grasp", "gallbladder"))
+        ),
+    ]
+    timeline = merge_timeline(clips)
+    report = replace(offline_report(timeline, vocab), provenance=provenance)
+    sidecar = {"provenance": provenance, "timeline": timeline_record(timeline, vocab)}
+    write_report(tmp_path, report, render_timeline(timeline, vocab))
+    written = (tmp_path / "VID01.timeline.json").read_text(encoding="utf-8")
+    assert written == json.dumps(sidecar, indent=2) + "\n"
