@@ -5,7 +5,6 @@ import math
 import random
 from collections import Counter
 from dataclasses import fields, replace
-
 from itertools import chain
 from unittest import mock
 
