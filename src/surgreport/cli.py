@@ -253,9 +253,9 @@ def _caption_texts(path: str, kind: str) -> dict[tuple[str, int], str]:
 def _caption_pairs(generated_path: str, reference_path: str, kind: str) -> list[tuple[str, str]]:
     gen = _caption_texts(generated_path, kind)
     ref = _caption_texts(reference_path, kind)
-    if set(gen) != set(ref):
-        only_gen = sorted(set(gen) - set(ref))[:3]
-        only_ref = sorted(set(ref) - set(gen))[:3]
+    if gen.keys() != ref.keys():
+        only_gen = sorted(gen.keys() - ref.keys())[:3]
+        only_ref = sorted(ref.keys() - gen.keys())[:3]
         raise ConfigError(
             f"{kind} caption keys do not align: generated-only {only_gen}, reference-only {only_ref}"
         )
@@ -348,7 +348,7 @@ def _csv_cell(value) -> str:
 def cmd_report(config: PipelineConfig, videos: list[str] | None) -> list[Path]:
     """Write the offline report per video, plus the endpoint report if enabled."""
     vocab = config.vocabulary()
-    clip_path = Path(config.paths.output_dir) / "clip_captions.jsonl"
+    clip_path = config.output_dir() / "clip_captions.jsonl"
     if not clip_path.exists():
         raise ConfigError(f"clip captions not found: {clip_path} (run preprocess first)")
     captions = read_clip_captions(clip_path, vocab)
@@ -374,24 +374,23 @@ def cmd_report(config: PipelineConfig, videos: list[str] | None) -> list[Path]:
 
     report_dir = config.output_dir() / "reports"
     endpoint = None if config.report.offline else config.report.endpoint
-    rendered: dict[str, str] = {}  # each timeline's sidecar text, kept for the endpoint reports
+    jobs: list[tuple[list, str]] = []  # each video's clips and sidecar text, for the endpoint reports
     outputs: list[Path] = []
-    for video_id, clips in sorted(selected.items()):
+    for _, clips in sorted(selected.items()):
         timeline = merge_timeline(clips)
         text = render_timeline(timeline, vocab)
         if endpoint is not None:
-            rendered[video_id] = text
+            jobs.append((clips, text))
         outputs.append(write_report(report_dir, offline_report(timeline, vocab), text))
 
     if endpoint is not None:
-        def generate(item):
-            video_id, clips = item
-            report = llm_generate(render_prompt(clips), endpoint)
-            return write_report(report_dir, report, rendered[video_id], ".llm")
+        def generate(job):
+            clips, text = job
+            return write_report(report_dir, llm_generate(render_prompt(clips), endpoint), text, ".llm")
 
         with ThreadPoolExecutor(max_workers=endpoint.parallelism) as pool:
             try:
-                outputs.extend(pool.map(generate, sorted(selected.items())))
+                outputs.extend(pool.map(generate, jobs))
             except EndpointError as exc:
                 # The offline artifacts above are already on disk.
                 raise EndpointError(f"endpoint report failed: {exc}") from exc

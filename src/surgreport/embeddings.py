@@ -5,8 +5,9 @@ from a line-delimited file keyed by a hash of the token sequence:
 
     {"key": "<sha256>", "dim": 64, "vectors": [[...], ...]}
 
-``load`` checks each entry's shape, that its values are finite and that no
-row is zero. Vectors are unit-normalized at lookup, one text at a time.
+``load`` checks each entry's shape, that its values are finite, that no
+row is zero and that every entry has the first entry's ``dim``. Vectors
+are unit-normalized at lookup, one text at a time.
 ``deterministic_token_embeddings`` provides a reproducible stand-in
 provider for demos and tests; it is not a contextual encoder.
 """
@@ -93,7 +94,7 @@ class EmbeddingTable:
     @classmethod
     def load(cls, path: str | Path) -> "EmbeddingTable":
         # Streamed: only one line's decoded lists are alive at a time.
-        table = cls(str(path))
+        table, table_dim = cls(str(path)), None
         for lineno, obj in stream_jsonl(path, _EMBEDDING_FIELDS):
             key, dim = obj["key"], obj["dim"]
             try:
@@ -106,6 +107,10 @@ class EmbeddingTable:
                 raise RecordError(message, str(path), lineno)
             if not np.isfinite(vectors).all():  # json decodes NaN and Infinity; NaN passes the norm
                 message = f"embedding entry {key}: vectors must be finite"
+                raise RecordError(message, str(path), lineno)
+            table_dim = dim if table_dim is None else table_dim
+            if dim != table_dim:
+                message = f"embedding entry {key}: dim {dim} differs from the table's {table_dim}"
                 raise RecordError(message, str(path), lineno)
             table._entries[key] = vectors
         return table

@@ -6,8 +6,10 @@ re-expands segments to frame indices, deduplicates overlapping frames, and
 merges maximal same-phase runs, so every reported duration counts unique
 seconds of video.
 
-Reports can be produced offline by a deterministic renderer or remotely by
-a chat-completion endpoint fed the standard prompt. The endpoint client is
+Each video's clips are merged once; that one timeline feeds the offline
+report, the endpoint report and both timeline sidecars. Reports can be
+produced offline by a deterministic renderer or remotely by a
+chat-completion endpoint fed the standard prompt. The endpoint client is
 the standard library's ``urllib.request``, loaded on the first endpoint
 request. It follows no redirect, so a 3xx ends as an EndpointStatusError
 and the bearer token never reaches another URL, and it honors the
@@ -87,15 +89,21 @@ class MergedTimeline:
 class PromptRequest:
     template_id: str
     prompt: str
-    clips: tuple[ClipCaption, ...]
+    video_id: str
 
 
 @dataclass(frozen=True)
 class SurgicalReport:
     video_id: str
     narrative: str
-    timeline: MergedTimeline
     provenance: str  # "offline" or "llm:<model id>"
+
+
+def _one_video(clips: list[ClipCaption]) -> str:
+    video_ids = {clip.video_id for clip in clips}
+    if len(video_ids) > 1:
+        raise ValueError(f"clips come from multiple videos: {sorted(video_ids)}")
+    return next(iter(video_ids))
 
 
 def merge_timeline(clips: list[ClipCaption]) -> MergedTimeline:
@@ -108,9 +116,7 @@ def merge_timeline(clips: list[ClipCaption]) -> MergedTimeline:
     """
     if not clips:
         raise ValueError("cannot merge an empty clip list")
-    video_ids = {clip.video_id for clip in clips}
-    if len(video_ids) > 1:
-        raise ValueError(f"clips come from multiple videos: {sorted(video_ids)}")
+    video_id = _one_video(clips)
     # Each frame belongs to the first clip, by start, that covers it.
     owner: dict[int, tuple[int, tuple[Triplet, ...], int]] = {}
     for clip in sorted(clips, key=lambda c: c.start_frame):
@@ -135,7 +141,7 @@ def merge_timeline(clips: list[ClipCaption]) -> MergedTimeline:
                 clip_range=(min(starts), max(starts)),
             )
         )
-    return MergedTimeline(video_id=next(iter(video_ids)), entries=tuple(entries))
+    return MergedTimeline(video_id=video_id, entries=tuple(entries))
 
 
 def render_prompt(clips: list[ClipCaption]) -> PromptRequest:
@@ -144,11 +150,7 @@ def render_prompt(clips: list[ClipCaption]) -> PromptRequest:
         raise ValueError("cannot render a prompt for an empty clip list")
     numbered = "\n".join(f"{i}. {clip.text}" for i, clip in enumerate(clips, start=1))
     prompt = PROMPT_TEMPLATE.replace("{clip_captions}", numbered)
-    return PromptRequest(
-        template_id=PROMPT_TEMPLATE_ID,
-        prompt=prompt,
-        clips=tuple(clips),
-    )
+    return PromptRequest(template_id=PROMPT_TEMPLATE_ID, prompt=prompt, video_id=_one_video(clips))
 
 
 def _past_clause(action: Triplet, vocab: Vocabulary) -> str:
@@ -182,7 +184,6 @@ def offline_report(timeline: MergedTimeline, vocab: Vocabulary) -> SurgicalRepor
     return SurgicalReport(
         video_id=timeline.video_id,
         narrative="\n".join(paragraphs),
-        timeline=timeline,
         provenance="offline",
     )
 
@@ -244,8 +245,8 @@ def llm_generate(request: PromptRequest, endpoint: EndpointConfig) -> SurgicalRe
         if attempt > 1:
             time.sleep(endpoint.backoff_seconds * 2 ** (attempt - 2))
         log.info(
-            "report request %s attempt %d/%d (auth: Bearer ***, %d clip captions)",
-            url, attempt, endpoint.max_attempts, len(request.clips),
+            "report request %s attempt %d/%d for %s (auth: Bearer ***)",
+            url, attempt, endpoint.max_attempts, request.video_id,
         )
         try:
             # A URL without a scheme raises ValueError.
@@ -280,12 +281,7 @@ def llm_generate(request: PromptRequest, endpoint: EndpointConfig) -> SurgicalRe
     except UnicodeEncodeError as exc:
         raise EndpointStatusError(f"malformed endpoint response: {exc}", status)
     log.info("report response: %d characters", len(narrative))
-    return SurgicalReport(
-        video_id=request.clips[0].video_id,
-        narrative=narrative,
-        timeline=merge_timeline(list(request.clips)),
-        provenance=f"llm:{endpoint.model}",
-    )
+    return SurgicalReport(request.video_id, narrative, f"llm:{endpoint.model}")
 
 
 def timeline_record(timeline: MergedTimeline, vocab: Vocabulary) -> dict:
@@ -319,8 +315,8 @@ def render_timeline(timeline: MergedTimeline, vocab: Vocabulary) -> str:
 def write_report(directory: str | Path, report: SurgicalReport, timeline: str, suffix: str = "") -> Path:
     """Write the narrative text plus a structured timeline sidecar.
 
-    ``timeline`` is ``render_timeline`` of the report's timeline, so a
-    video's two reports share one encoding of it. The sidecar is
+    ``timeline`` is ``render_timeline`` of the video's one merged timeline,
+    so a video's two reports share one encoding of it. The sidecar is
     ``json.dumps({"provenance": ..., "timeline": ...}, indent=2)``.
     """
     directory = Path(directory)

@@ -17,6 +17,8 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import surgreport.cli
+import surgreport.report
 from surgreport.cli import COMMANDS, main
 from surgreport.dataset import write_annotations
 from surgreport.detection import LogitsRecord, truth_bits, write_logits
@@ -501,6 +503,31 @@ def test_report_with_stub_endpoint(workspace, vocab, monkeypatch):
     assert sidecar["provenance"] == "llm:stub-model"
 
 
+def test_report_merges_each_video_once_with_an_endpoint(workspace, monkeypatch):
+    tmp_path, records, annotations, out, config = workspace
+    assert main(["preprocess", "--config", config]) == 0
+    merged: list[str] = []
+
+    def counting(merge):
+        def wrapper(clips):
+            merged.append(clips[0].video_id)
+            return merge(clips)
+        return wrapper
+
+    for module in (surgreport.cli, surgreport.report):
+        monkeypatch.setattr(module, "merge_timeline", counting(module.merge_timeline))
+    monkeypatch.setenv("SURGREPORT_API_KEY", "k")
+    with StubChatServer() as stub:
+        config = write_config(
+            tmp_path / "config.yaml",
+            paths={"annotations": str(annotations), "output_dir": str(out)},
+            report={"offline": False, "endpoint": {"base_url": stub.url, "model": "m"}},
+        )
+        assert main(["report", "--config", config]) == 0
+    assert sorted(merged) == sorted(r.video_id for r in records)
+    assert len(stub.requests) == len(records)
+
+
 def test_report_endpoint_failure_keeps_offline_artifact(workspace, monkeypatch, capsys):
     tmp_path, records, annotations, out, config = workspace
     assert main(["preprocess", "--config", config]) == 0
@@ -934,6 +961,11 @@ BAD_RECORDS = {
         "embeddings", "evaluate",
         '{"key": "x", "dim": 2, "vectors": [[1.0, 0.0], [-Infinity, 1.0]]}',
         "embedding entry x: vectors must be finite",
+    ),
+    "embeddings-mixed-dims": (
+        "embeddings", "evaluate",
+        '{"key": "x", "dim": 2, "vectors": [[1.0, 0.0]]}',
+        "embedding entry x: dim 2 differs from the table's 32",
     ),
     "embeddings-not-an-object": (
         "embeddings", "evaluate",

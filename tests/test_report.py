@@ -193,6 +193,7 @@ def test_render_prompt_contains_captions_and_instructions(vocab):
         positions.append(request.prompt.index(clip.text))
     assert positions == sorted(positions)
     assert request.template_id == "surgery-report-v1"
+    assert request.video_id == "VID01"
 
 
 def test_render_prompt_mentions_durations(vocab):
@@ -208,6 +209,16 @@ def test_render_prompt_mentions_durations(vocab):
 def test_render_prompt_deterministic(vocab):
     clips = [full_phase_clip(vocab, 0)]
     assert render_prompt(clips).prompt == render_prompt(clips).prompt
+
+
+def test_render_prompt_rejects_mixed_videos_before_any_request(vocab, monkeypatch):
+    monkeypatch.setenv("SURGREPORT_API_KEY", "secret-token")
+    clips = [full_phase_clip(vocab, 0), full_phase_clip(vocab, 16, video_id="VID02")]
+    with StubChatServer() as stub:
+        endpoint = EndpointConfig(base_url=stub.url, model="m", backoff_seconds=0.01)
+        with pytest.raises(ValueError, match=r"multiple videos: \['VID01', 'VID02'\]"):
+            llm_generate(render_prompt(clips), endpoint)
+    assert stub.requests == []
 
 
 def test_offline_report_single_entry(vocab):
@@ -261,7 +272,7 @@ def test_llm_generate_against_stub(vocab, monkeypatch):
         report = llm_generate(request, endpoint)
     assert report.narrative == "A fine procedure."
     assert report.provenance == "llm:test-model"
-    assert report.timeline.total_seconds == 32
+    assert report.video_id == "VID01"
     body = stub.requests[0]
     assert body["model"] == "test-model"
     content = body["messages"][0]["content"]
