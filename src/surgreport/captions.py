@@ -72,14 +72,14 @@ _NAME_CHARS = set("abcdefghijklmnopqrstuvwxyz0123456789_-")
 _DIGITS = re.compile("[0-9]*")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FrameCaption:
     video_id: str
     frame_index: int
     text: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PhaseSegment:
     """A maximal run of frames sharing one phase within a clip."""
 
@@ -94,7 +94,7 @@ class PhaseSegment:
             raise ValueError("segment actions must be deduplicated")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ClipCaption:
     video_id: str
     start_frame: int
@@ -384,7 +384,8 @@ def parse_clip_caption(text: str, vocab: Vocabulary) -> list[PhaseSegment]:
     return _Parser(text, _grammar(vocab)).parse()
 
 
-def write_frame_captions(path: str | Path, captions: list[FrameCaption]) -> int:
+def write_frame_captions(path: str | Path, captions: Iterable[FrameCaption]) -> int:
+    """One record per caption; ``captions`` is iterated once, so it may be a generator."""
     return write_jsonl(
         path,
         ({"video_id": c.video_id, "frame": c.frame_index, "text": c.text} for c in captions),
@@ -396,7 +397,8 @@ def read_frame_captions(path: str | Path) -> list[FrameCaption]:
     return [FrameCaption(o["video_id"], o["frame"], o["text"]) for _, o in stream_jsonl(path, fields)]
 
 
-def write_clip_captions(path: str | Path, captions: list[ClipCaption]) -> int:
+def write_clip_captions(path: str | Path, captions: Iterable[ClipCaption]) -> int:
+    """One record per caption; ``captions`` is iterated once, so it may be a generator."""
     return write_jsonl(
         path,
         (

@@ -125,25 +125,20 @@ def _load_records(config: PipelineConfig, videos: list[str] | None):
 
 
 def cmd_preprocess(config: PipelineConfig, videos: list[str] | None) -> list[Path]:
-    """Write frame captions, clip captions, the clip manifest, and durations."""
+    """Write frame captions, clip captions, the clip manifest, and durations.
+
+    Each caption is written as it is made, so the captions are never held
+    at once; the clip windows are kept, as the clip captions and the
+    manifest both iterate them.
+    """
     records, vocab = _load_records(config, videos)
     out = _make_output_dir(config)
-
-    frame_captions = [
-        synthesize_frame_caption(frame, vocab) for rec in records for frame in rec.frames
-    ]
     clips = [
         clip
         for rec in records
         for clip in window_video(rec, config.windowing.size, config.windowing.stride)
     ]
     frames_by_video = {rec.video_id: rec.frames for rec in records}
-    clip_captions = [
-        synthesize_clip_caption(
-            clip, [frames_by_video[clip.video_id][i] for i in clip.frame_indices], vocab
-        )
-        for clip in clips
-    ]
     durations = phase_duration_table(records, vocab)
 
     outputs = [
@@ -152,13 +147,24 @@ def cmd_preprocess(config: PipelineConfig, videos: list[str] | None) -> list[Pat
         out / "clip_manifest.jsonl",
         out / "phase_durations.csv",
     ]
-    write_frame_captions(outputs[0], frame_captions)
-    write_clip_captions(outputs[1], clip_captions)
+    frame_count = write_frame_captions(
+        outputs[0],
+        (synthesize_frame_caption(frame, vocab) for rec in records for frame in rec.frames),
+    )
+    clip_count = write_clip_captions(
+        outputs[1],
+        (
+            synthesize_clip_caption(
+                clip, [frames_by_video[clip.video_id][i] for i in clip.frame_indices], vocab
+            )
+            for clip in clips
+        ),
+    )
     write_clip_manifest(outputs[2], clips)
     lines = ["phase,frames,minutes"]
     lines += [f"{phase},{count},{minutes:.1f}" for phase, count, minutes in durations]
     write_text(outputs[3], "\n".join(lines) + "\n")
-    log.info("preprocess: %d frames, %d clips", len(frame_captions), len(clips))
+    log.info("preprocess: %d frames, %d clips", frame_count, clip_count)
     return outputs
 
 

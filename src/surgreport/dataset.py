@@ -57,7 +57,7 @@ class Triplet(NamedTuple):
             raise ValueError("null target must be encoded as None, not the sentinel index")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FrameAnnotation:
     """Labels for one video frame: action triplets plus the phase."""
 

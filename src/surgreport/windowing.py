@@ -7,6 +7,7 @@ final window are dropped; padding would fabricate annotations.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -17,7 +18,7 @@ CLIP_SIZE = 32
 CLIP_STRIDE = 16
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ClipWindow:
     """A run of consecutive frame indices belonging to one video."""
 
@@ -54,7 +55,8 @@ def window_video(
     ]
 
 
-def write_clip_manifest(path: str | Path, clips: list[ClipWindow]) -> int:
+def write_clip_manifest(path: str | Path, clips: Iterable[ClipWindow]) -> int:
+    """One record per clip; ``clips`` is iterated once."""
     return write_jsonl(
         path,
         (

@@ -4,6 +4,7 @@ import ast
 import hashlib
 import importlib
 import json
+import logging
 import os
 import re
 import subprocess
@@ -19,14 +20,17 @@ from hypothesis import strategies as st
 
 import surgreport.cli
 import surgreport.report
+from surgreport.captions import synthesize_clip_caption, synthesize_frame_caption
 from surgreport.cli import COMMANDS, main
-from surgreport.dataset import write_annotations
+from surgreport.config import load_config
+from surgreport.dataset import load_annotations, write_annotations
 from surgreport.detection import LogitsRecord, truth_bits, write_logits
 from surgreport.embeddings import EmbeddingTable, deterministic_token_embeddings, embedding_key
 from surgreport.jsonl import read_jsonl
 from surgreport.metrics import tokenize
+from surgreport.windowing import window_video
 
-from conftest import StubChatServer, make_calibrated_logits, make_corpus, make_logits
+from conftest import StubChatServer, make_calibrated_logits, make_corpus, make_logits, traced_peak
 
 
 def write_config(path, **sections):
@@ -47,15 +51,20 @@ def workspace(tmp_path, vocab):
     return tmp_path, records, annotations, out, config
 
 
-def test_preprocess_counts_match_corpus(workspace, vocab):
+def test_preprocess_counts_match_corpus(workspace, vocab, caplog):
     tmp_path, records, annotations, out, config = workspace
-    assert main(["preprocess", "--config", config]) == 0
+    with caplog.at_level(logging.INFO, logger="surgreport.cli"):
+        assert main(["preprocess", "--config", config]) == 0
     frames = read_jsonl(out / "frame_captions.jsonl")
     assert len(frames) == sum(len(r.frames) for r in records)
     clips = read_jsonl(out / "clip_manifest.jsonl")
     expected_clips = sum((len(r) - 32) // 16 + 1 for r in records if len(r) >= 32)
     assert len(clips) == expected_clips
     assert len(read_jsonl(out / "clip_captions.jsonl")) == expected_clips
+    # The counts come from the caption writers, which are handed generators.
+    assert [r.getMessage() for r in caplog.records if r.name == "surgreport.cli"] == [
+        f"preprocess: {len(frames)} frames, {expected_clips} clips"
+    ]
     durations = (out / "phase_durations.csv").read_text().strip().splitlines()
     assert durations[0] == "phase,frames,minutes"
     assert durations[-1].startswith("total,")
@@ -135,6 +144,30 @@ def test_preprocess_is_deterministic(workspace):
     first = _tree_digest(out)
     assert main(["preprocess", "--config", config]) == 0
     assert _tree_digest(out) == first
+
+
+def test_preprocess_peak_is_near_the_annotations_alone(tmp_path, vocab):
+    annotations = tmp_path / "annotations.jsonl"
+    write_annotations(annotations, make_corpus(vocab, 5, 2000, seed=1), vocab)
+    config = load_config(
+        write_config(
+            tmp_path / "config.yaml",
+            paths={"annotations": str(annotations), "output_dir": str(tmp_path / "out")},
+        )
+    )
+    surgreport.cli.cmd_preprocess(config, None)  # a first run, so state made once is not counted
+    load = traced_peak(lambda: load_annotations(annotations, config.vocabulary()))
+    # Each caption is written as it is made: the annotations are most of the peak.
+    peak = traced_peak(lambda: surgreport.cli.cmd_preprocess(config, None))
+    assert peak <= 1.3 * load, (peak, load)
+
+    # The records made once per frame or per clip carry no per-instance __dict__.
+    record = load_annotations(annotations, vocab)[0]
+    clip = window_video(record)[0]
+    caption = synthesize_clip_caption(clip, [record.frames[i] for i in clip.frame_indices], vocab)
+    frame_caption = synthesize_frame_caption(record.frames[0], vocab)
+    for value in (record.frames[0], frame_caption, clip, caption, caption.segments[0]):
+        assert not hasattr(value, "__dict__"), type(value).__name__
 
 
 def test_detect_writes_probabilities_and_names(workspace, vocab):
@@ -1335,6 +1368,52 @@ def test_failed_calibrate_write_leaves_each_output_whole(workspace, vocab, monke
     for index, name in enumerate(_CALIBRATION_OUTPUTS):
         assert (out / name).read_bytes() == (seed2 if index < failing - 1 else seed1)[name]
     assert sorted(out.glob(".*.tmp")) == []
+
+
+_PREPROCESS_OUTPUTS = [
+    "frame_captions.jsonl", "clip_captions.jsonl", "clip_manifest.jsonl", "phase_durations.csv"
+]
+
+
+@pytest.mark.parametrize(
+    "synthesizer, replaced",
+    [("synthesize_frame_caption", 0), ("synthesize_clip_caption", 1)],
+)
+def test_failed_preprocess_synthesis_leaves_each_output_whole(
+    workspace, vocab, monkeypatch, capsys, synthesizer, replaced
+):
+    tmp_path, _, annotations, out, config = workspace
+    assert main(["preprocess", "--config", config]) == 0
+    old = {name: (out / name).read_bytes() for name in _PREPROCESS_OUTPUTS}
+    (out / "preprocess.manifest.json").unlink()
+    # Longer videos, so every output differs; their whole outputs go to another directory.
+    write_annotations(annotations, make_corpus(vocab, n_videos=2, n_frames=96, seed=4), vocab)
+    other = tmp_path / "other"
+    other_config = write_config(
+        tmp_path / "other.yaml", paths={"annotations": str(annotations), "output_dir": str(other)}
+    )
+    assert main(["preprocess", "--config", other_config]) == 0
+    new = {name: (other / name).read_bytes() for name in _PREPROCESS_OUTPUTS}
+    assert all(old[name] != new[name] for name in _PREPROCESS_OUTPUTS)
+
+    # Synthesis runs while its captions are written; the third call fails.
+    synthesize, calls = getattr(surgreport.cli, synthesizer), []
+
+    def failing(*args):
+        calls.append(args)
+        if len(calls) == 3:
+            raise OSError("disk full")
+        return synthesize(*args)
+
+    monkeypatch.setattr(surgreport.cli, synthesizer, failing)
+    capsys.readouterr()
+    assert main(["preprocess", "--config", config]) == 1
+    assert capsys.readouterr().err == "error: disk full\n"
+    # Outputs before the failing one hold their whole new bytes, the rest their old ones.
+    for index, name in enumerate(_PREPROCESS_OUTPUTS):
+        assert (out / name).read_bytes() == (new if index < replaced else old)[name], name
+    assert sorted(out.glob(".*.tmp")) == []
+    assert not (out / "preprocess.manifest.json").exists()
 
 
 # Input files a mutation is applied to, and the commands that read each one.

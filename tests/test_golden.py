@@ -21,6 +21,9 @@ any score, even in the last bit, fails here.
   the per-frame merge dicts and the retry loop with a `response = None`
   sentinel; the `groupby` grouping, the frame-owner map and the `for`/`else`
   retry reproduce them.
+- The other outputs of `preprocess` on the report corpus: recorded while
+  every caption was made before the first was written; the captions written
+  as they are made reproduce them.
 """
 
 from __future__ import annotations
@@ -268,8 +271,15 @@ REPORT_GOLDEN_SHA256 = {
 }
 
 
+PREPROCESS_GOLDEN_SHA256 = {
+    "frame_captions.jsonl": "a3c595407c9b64ad9fc78b6f5c0abbcfdde46a98d60b79b3e6e32fac56bee09f",
+    "clip_manifest.jsonl": "93870dd1d7237725a5d3085ff019cc4ebcda150b7a748429cb6577c69741f4eb",
+    "phase_durations.csv": "c7100bd582d4c3b20db8d220066094fe79d869c413098f81d694ae7983fa9687",
+}
+
+
 def test_report_output_bytes_are_pinned(tmp_path, vocab, monkeypatch):
-    # Two video lengths, so the videos differ in clip count.
+    # Two video lengths, so the videos differ in clip count and in dropped tail frames.
     records = [
         *make_corpus(vocab, n_videos=2, n_frames=150, seed=43),
         *make_corpus(vocab, n_videos=3, n_frames=97, seed=47)[2:],
@@ -281,6 +291,11 @@ def test_report_output_bytes_are_pinned(tmp_path, vocab, monkeypatch):
     config = tmp_path / "config.yaml"
     config.write_text(yaml.safe_dump({"paths": paths}), encoding="utf-8")
     assert main(["preprocess", "--config", str(config)]) == 0
+    digests = {
+        name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+        for name in PREPROCESS_GOLDEN_SHA256
+    }
+    assert digests == PREPROCESS_GOLDEN_SHA256
 
     monkeypatch.setenv("SURGREPORT_API_KEY", "k")
     with StubChatServer(completion="Report from the stub.", statuses=[503]) as stub:
