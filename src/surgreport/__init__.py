@@ -28,9 +28,10 @@ _SUBMODULE = {
         "captions": "ClipCaption FrameCaption PhaseSegment parse_clip_caption render_clip_text "
         "synthesize_clip_caption synthesize_frame_caption",
         "dataset": "DatasetSplit FrameAnnotation Triplet VideoRecord load_annotations "
-        "parse_annotations phase_duration_table serialize_annotations split_dataset",
-        "detection": "ClassWeights LogitsRecord LogitsTable PatchSequence class_weights patch_count "
-        "patchify probabilities_from_logits threshold_detect truth_bits unpatchify weighted_bce",
+        "parse_annotations phase_duration_table serialize_annotations split_dataset split_labels",
+        "detection": "AnnotationTable ClassWeights LogitsRecord LogitsTable PatchSequence "
+        "class_weights patch_count patchify probabilities_from_logits threshold_detect truth_bits "
+        "unpatchify weighted_bce",
         "embeddings": "EmbeddedText EmbeddingTable deterministic_token_embeddings",
         "errors": "AnnotationError ConfigError EndpointError GrammarError MissingCredentialError "
         "RecordError SurgReportError TransportError",

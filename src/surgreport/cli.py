@@ -13,7 +13,15 @@ byte-identical files.
 ``detect``, ``calibrate`` and ``evaluate`` use (numpy and the calibration,
 detection, embeddings and metrics functions) are listed in ``_DEFERRED``:
 each is imported and bound on first use, and those three commands bind them
-all first with ``_bind_deferred``.
+all first with ``_bind_deferred``. No command loads OpenSSL for its own
+hashing (``digest.sha256`` is CPython's built-in SHA-256); only ``report``
+with an endpoint loads it, through the HTTP stack's ``ssl``.
+
+``calibrate`` and ``evaluate`` join the annotations with the logits, and
+the split with both, through one ``AnnotationTable``: rows in (video_id,
+frame) order, so the split is a label per row and a logits row finds its
+truth row by offset. Caption files are paired by sorting each side's key
+columns, not through dicts keyed by (video_id, frame) tuples.
 """
 
 from __future__ import annotations
@@ -24,6 +32,7 @@ import json
 import logging
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from operator import attrgetter
 from pathlib import Path
 
 from . import __version__
@@ -36,21 +45,25 @@ from .captions import (
     write_frame_captions,
 )
 from .config import PipelineConfig, config_hash, load_config, validate_paths
-from .dataset import load_annotations, phase_duration_table, split_dataset
+# ``split_dataset`` is unused here; bench/tracer.py patches it in this module by name.
+from .dataset import load_annotations, phase_duration_table, split_dataset, split_labels  # noqa: F401
 from .errors import ConfigError, EndpointError, RecordError, SurgReportError
 from .jsonl import record_line, write_jsonl, write_text
 from .report import (
-    llm_generate, merge_timeline, offline_report, render_prompt, render_timeline, write_report
+    llm_generate, merge_timeline, offline_report, render_prompt, render_timeline, sidecar_timeline,
+    write_report,
 )
 from .windowing import window_video, write_clip_manifest
 
-# Name -> the module it comes from, for the names that load numpy.
+# Name -> the module it comes from, for the names that load numpy. ``truth_bits``
+# is unused here; bench/tracer.py patches it in this module by name.
 _DEFERRED = {
     name: module
     for module, names in {
         "numpy": "np",
         ".calibration": "bins_csv calibration_record fit_temperature",
-        ".detection": "probabilities_from_logits read_logits threshold_detect truth_bits write_detections",
+        ".detection": "AnnotationTable probabilities_from_logits read_logits threshold_detect "
+        "truth_bits write_detections",
         ".embeddings": "EmbeddingTable",
         ".metrics": "MetricReport aggregate_caption_metrics average_precision classification_metrics",
     }.items()
@@ -179,46 +192,46 @@ def cmd_detect(config: PipelineConfig, videos: list[str] | None) -> list[Path]:
         table = table.select(np.isin(table.video_ids, videos))
     if not len(table):
         raise ConfigError("no logits records to process")
-    probs = probabilities_from_logits(table.values, config.detection.mode)
+    # Only the keys of the table are written, so its logits are squashed where they are.
+    probs = probabilities_from_logits(table.values, config.detection.mode, out=table.values)
     detected = threshold_detect(probs, config.detection.threshold)
     path = _make_output_dir(config) / "detections.jsonl"
     write_detections(path, table, probs, detected, vocab)
     return [path]
 
 
-def _truth_matrix(records, keys: list, vocab) -> np.ndarray:
-    """Truth bits of the annotated frame behind each (video_id, frame) key, one row per key."""
-    frames = {(rec.video_id, f.frame_index): f for rec in records for f in rec.frames}
-    missing = [key for key in keys if key not in frames]
-    if missing:
-        raise ConfigError(f"logits rows without annotations, e.g. {missing[:3]}")
-    # One preallocated (N, K) matrix, each row filled as its bits are made.
-    row = np.dtype((float, len(vocab.detection_classes)))
-    return np.fromiter((truth_bits(frames[key], vocab) for key in keys), row, count=len(keys))
+def _validation_set(config: PipelineConfig, videos: list[str] | None) -> tuple[np.ndarray, np.ndarray]:
+    """Logits and boolean truth of the validation frames, in (video_id, frame) order."""
+    records, vocab = _load_records(config, videos)
+    split = config.split
+    labels = np.frombuffer(split_labels(records, split.ratios, split.seed, split.granularity), np.uint8)
+    validation = np.flatnonzero(labels == 2)  # annotation rows
+    if not validation.size:
+        raise ConfigError(
+            f"split.ratios {list(split.ratios)} leave no validation frames to calibrate on"
+        )
+    annotations = AnnotationTable.from_records(records, vocab)
+    del records  # the frames are in the table; the logits are read without them
+    table = read_logits(config.paths.logits)
+    rows = annotations.rows_of(table)
+    annotated = rows >= 0
+    logits_row = np.full(len(annotations), -1)  # the logits row of each annotation row
+    logits_row[rows[annotated]] = np.flatnonzero(annotated)
+    picked = logits_row[validation]
+    missing = validation[picked < 0]
+    if missing.size:
+        raise ConfigError(
+            f"missing logits rows for {missing.size} validation frames, "
+            f"e.g. {annotations.keys(missing[:3])}"
+        )
+    return table.values[picked], annotations.truth[validation]
 
 
 def cmd_calibrate(config: PipelineConfig, videos: list[str] | None) -> list[Path]:
     """Fit the temperature on the validation split and export the results."""
     _bind_deferred()
     validate_paths(config, ("annotations", "logits"))
-    records, vocab = _load_records(config, videos)
-    split = split_dataset(
-        records, config.split.ratios, config.split.seed, config.split.granularity
-    )
-    validation = sorted(split.validation)
-    if not validation:
-        raise ConfigError(
-            f"split.ratios {list(config.split.ratios)} leave no validation frames to calibrate on"
-        )
-    table = read_logits(config.paths.logits)
-    row_of = dict(zip(table.keys(), range(len(table))))
-    missing = [ref for ref in validation if ref not in row_of]
-    if missing:
-        raise ConfigError(
-            f"missing logits rows for {len(missing)} validation frames, e.g. {missing[:3]}"
-        )
-    z = table.values[[row_of[ref] for ref in validation]]
-    y = _truth_matrix(records, validation, vocab)
+    z, y = _validation_set(config, videos)
     try:
         result = fit_temperature(
             z,
@@ -242,48 +255,70 @@ def cmd_calibrate(config: PipelineConfig, videos: list[str] | None) -> list[Path
     return outputs
 
 
-def _caption_texts(path: str, kind: str) -> dict[tuple[str, int], str]:
-    """Caption text by (video_id, frame) or (video_id, start_frame); a repeated key is an error."""
+def _caption_texts(path: str, kind: str) -> tuple[list[str], np.ndarray, list[str]]:
+    """A caption file's keys and texts in key order: video ids, frames (clip start frames), texts.
+
+    A repeated key is an error, reported at the first row that repeats one.
+    """
     if kind == "frame":
-        keyed = (((c.video_id, c.frame_index), c.text) for c in read_frame_captions(path))
+        captions = read_frame_captions(path)
+        frame_of = attrgetter("frame_index")
     else:
-        keyed = (((c.video_id, c.start_frame), c.text) for c in read_clip_captions(path))
-    texts: dict[tuple[str, int], str] = {}
-    for index, (key, text) in enumerate(keyed):
-        if key in texts:
-            raise RecordError(f"{kind} caption {key} repeats an earlier row", path, record_line(path, index))
-        texts[key] = text
-    return texts
+        captions = read_clip_captions(path)
+        frame_of = attrgetter("start_frame")
+    frames = np.fromiter(map(frame_of, captions), np.int64, len(captions))  # each in [0, 2**63)
+    # Video ids are ranked in Python's order, so each distinct string is its own key.
+    names = sorted({c.video_id for c in captions})
+    rank = {name: k for k, name in enumerate(names)}
+    codes = np.fromiter((rank[c.video_id] for c in captions), np.int64, len(captions))
+    # Within a key, rows sort by index: each repeat follows an earlier row.
+    order = np.lexsort((np.arange(len(captions)), frames, codes))
+    repeats = (np.diff(codes[order]) == 0) & (np.diff(frames[order]) == 0)
+    if repeats.any():
+        index = int(order[1:][repeats].min())
+        key = (captions[index].video_id, frame_of(captions[index]))
+        raise RecordError(f"{kind} caption {key} repeats an earlier row", path, record_line(path, index))
+    ids = [names[k] for k in codes[order].tolist()]  # one str per distinct id, not one per row
+    return ids, frames[order], [captions[i].text for i in order.tolist()]
 
 
 def _caption_pairs(generated_path: str, reference_path: str, kind: str) -> list[tuple[str, str]]:
-    gen = _caption_texts(generated_path, kind)
-    ref = _caption_texts(reference_path, kind)
-    if gen.keys() != ref.keys():
-        only_gen = sorted(gen.keys() - ref.keys())[:3]
-        only_ref = sorted(ref.keys() - gen.keys())[:3]
+    """(generated, reference) text pairs, joined on their sorted keys."""
+    gen_ids, gen_frames, gen_texts = _caption_texts(generated_path, kind)
+    ref_ids, ref_frames, ref_texts = _caption_texts(reference_path, kind)
+    if gen_ids != ref_ids or not np.array_equal(gen_frames, ref_frames):
+        gen = set(zip(gen_ids, gen_frames.tolist()))
+        ref = set(zip(ref_ids, ref_frames.tolist()))
         raise ConfigError(
-            f"{kind} caption keys do not align: generated-only {only_gen}, reference-only {only_ref}"
+            f"{kind} caption keys do not align: generated-only {sorted(gen - ref)[:3]}, "
+            f"reference-only {sorted(ref - gen)[:3]}"
         )
-    keys = sorted(gen)
     # tokenize() yields no tokens exactly when the text is all whitespace.
-    blank = next((key for key in keys if not ref[key].strip()), None)
+    blank = next((i for i, text in enumerate(ref_texts) if not text.strip()), None)
     if blank is not None:
+        key = (ref_ids[blank], int(ref_frames[blank]))
         raise ConfigError(
-            f"{kind}_captions: reference caption {blank} in {reference_path} is blank"
+            f"{kind}_captions: reference caption {key} in {reference_path} is blank"
         )
-    return [(gen[key], ref[key]) for key in keys]
+    return list(zip(gen_texts, ref_texts))
 
 
 def _detection_report(config: PipelineConfig, vocab) -> dict | None:
     if not config.paths.logits:
         return None
     records, _ = _load_records(config, None)
+    annotations = AnnotationTable.from_records(records, vocab)
+    del records
     table = read_logits(config.paths.logits)
     if not len(table):
         raise ConfigError(f"no logits records in {config.paths.logits}")
-    truth = _truth_matrix(records, table.keys(), vocab)
-    probs = probabilities_from_logits(table.values, config.detection.mode)
+    rows = annotations.rows_of(table)
+    missing = np.flatnonzero(rows < 0)
+    if missing.size:
+        raise ConfigError(f"logits rows without annotations, e.g. {table.keys(missing[:3])}")
+    truth = annotations.truth[rows]
+    # The logits are not read again, so they are squashed where they are.
+    probs = probabilities_from_logits(table.values, config.detection.mode, out=table.values)
     cls = classification_metrics(threshold_detect(probs, config.detection.threshold), truth)
     ap = average_precision(probs, truth, n_instruments=len(vocab.instruments))
     row = MetricReport(
@@ -380,19 +415,22 @@ def cmd_report(config: PipelineConfig, videos: list[str] | None) -> list[Path]:
 
     report_dir = config.output_dir() / "reports"
     endpoint = None if config.report.offline else config.report.endpoint
-    jobs: list[tuple[list, str]] = []  # each video's clips and sidecar text, for the endpoint reports
+    # Each video's clips and offline report, for the endpoint reports: the
+    # timeline text is read back from the offline sidecar, not held here.
+    jobs: list[tuple[list, Path]] = []
     outputs: list[Path] = []
     for _, clips in sorted(selected.items()):
         timeline = merge_timeline(clips)
-        text = render_timeline(timeline, vocab)
+        path = write_report(report_dir, offline_report(timeline, vocab), render_timeline(timeline, vocab))
+        outputs.append(path)
         if endpoint is not None:
-            jobs.append((clips, text))
-        outputs.append(write_report(report_dir, offline_report(timeline, vocab), text))
+            jobs.append((clips, path))
 
     if endpoint is not None:
         def generate(job):
-            clips, text = job
-            return write_report(report_dir, llm_generate(render_prompt(clips), endpoint), text, ".llm")
+            clips, offline_path = job
+            report = llm_generate(render_prompt(clips), endpoint)
+            return write_report(report_dir, report, sidecar_timeline(offline_path), ".llm")
 
         with ThreadPoolExecutor(max_workers=endpoint.parallelism) as pool:
             try:

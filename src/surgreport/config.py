@@ -9,7 +9,6 @@ default), then the bound in the field's metadata. A bad value is one
 ``ConfigError`` naming its dotted path; ``config_hash`` feeds the run manifests.
 """
 
-import hashlib
 import json
 import sys
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
@@ -17,6 +16,7 @@ from pathlib import Path
 from types import UnionType
 from typing import Literal, get_args, get_origin
 
+from .digest import sha256
 from .errors import ConfigError
 from .vocab import Vocabulary, default_vocabulary, load_vocabulary, read_yaml
 
@@ -203,4 +203,4 @@ def validate_paths(config: PipelineConfig, required: tuple[str, ...]) -> None:
 
 def config_hash(config: PipelineConfig) -> str:
     canonical = json.dumps(asdict(config), sort_keys=True, default=str)
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return sha256(canonical.encode("utf-8")).hexdigest()

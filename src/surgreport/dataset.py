@@ -17,6 +17,8 @@ import random
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
+from itertools import accumulate
+from operator import attrgetter
 from pathlib import Path
 from typing import NamedTuple
 
@@ -261,13 +263,18 @@ def _largest_remainder_counts(total: int, ratios: tuple[float, float, float]) ->
     return counts
 
 
-def split_dataset(
+def by_video_id(records: Iterable[VideoRecord]) -> list[VideoRecord]:
+    """The records sorted by video id; their frames in turn run in (video_id, frame) order."""
+    return sorted(records, key=attrgetter("video_id"))
+
+
+def split_labels(
     records: list[VideoRecord],
     ratios: tuple[float, float, float] = (0.8, 0.1, 0.1),
     seed: int = 0,
     granularity: str = "frame",
-) -> DatasetSplit:
-    """Partition all frames into train/test/validation sets.
+) -> bytearray:
+    """The part of every frame, 0 train, 1 test or 2 validation, in (video_id, frame) order.
 
     Frame granularity shuffles individual frames, matching the upstream
     80/10/10 protocol; set sizes land within one frame of the exact ratios.
@@ -281,32 +288,45 @@ def split_dataset(
         raise ValueError(f"granularity must be 'frame' or 'video', got {granularity!r}")
 
     rng = random.Random(seed)
+    videos = by_video_id(records)
+    labels = bytearray(sum(len(v) for v in videos))
     if granularity == "frame":
-        refs = [(rec.video_id, f.frame_index) for rec in records for f in rec.frames]
-        refs.sort()
-        rng.shuffle(refs)
-        n_train, n_test, _ = _largest_remainder_counts(len(refs), ratios)
-        parts = (refs[:n_train], refs[n_train : n_train + n_test], refs[n_train + n_test :])
+        # A shuffle's swaps depend only on the length, so the row numbers are
+        # permuted as the sorted (video_id, frame) refs would be.
+        rows = list(range(len(labels)))
+        rng.shuffle(rows)
+        n_train, n_test, _ = _largest_remainder_counts(len(rows), ratios)
+        for row in rows[n_train : n_train + n_test]:
+            labels[row] = 1
+        for row in rows[n_train + n_test :]:
+            labels[row] = 2
     else:
-        videos = sorted(records, key=lambda r: r.video_id)
-        rng.shuffle(videos)
-        total = sum(len(v) for v in videos)
-        targets = [r * total for r in ratios]
+        starts = list(accumulate((len(v) for v in videos), initial=0))
+        order = list(range(len(videos)))
+        rng.shuffle(order)
+        targets = [r * len(labels) for r in ratios]
         filled = [0, 0, 0]
-        buckets: tuple[list[FrameRef], list[FrameRef], list[FrameRef]] = ([], [], [])
-        for video in videos:
+        for v in order:
             deficits = [targets[i] - filled[i] for i in range(3)]
             slot = max(range(3), key=lambda i: (deficits[i], -i))
-            buckets[slot].extend((video.video_id, f.frame_index) for f in video.frames)
-            filled[slot] += len(video)
-        parts = buckets
+            labels[starts[v] : starts[v + 1]] = bytes([slot]) * len(videos[v])
+            filled[slot] += len(videos[v])
+    return labels
 
-    return DatasetSplit(
-        train=frozenset(parts[0]),
-        test=frozenset(parts[1]),
-        validation=frozenset(parts[2]),
-        ratios=ratios,
-    )
+
+def split_dataset(
+    records: list[VideoRecord],
+    ratios: tuple[float, float, float] = (0.8, 0.1, 0.1),
+    seed: int = 0,
+    granularity: str = "frame",
+) -> DatasetSplit:
+    """Partition all frames into train/test/validation sets, as ``split_labels`` labels them."""
+    labels = split_labels(records, ratios, seed, granularity)
+    refs = ((rec.video_id, f.frame_index) for rec in by_video_id(records) for f in rec.frames)
+    parts: tuple[list[FrameRef], list[FrameRef], list[FrameRef]] = ([], [], [])
+    for ref, label in zip(refs, labels):
+        parts[label].append(ref)
+    return DatasetSplit(*map(frozenset, parts), ratios=ratios)
 
 
 def minutes_from_frames(frame_count: int) -> float:

@@ -13,10 +13,15 @@ vectorized pass (finiteness, duplicate (video, frame) keys); it reports the
 first bad record with its file and line. Squashing and thresholding work on
 any array whose last axis is the class axis, so the pipeline makes one call
 of each per table, and ``threshold_detect`` returns a boolean mask of the
-same shape. Squashing makes one float copy of its input and runs each step
-in place on it. ``write_detections`` turns the columns into Python values
-one block of ``DETECTION_BLOCK_ROWS`` rows at a time, so no list of the
-whole table is built.
+same shape. Squashing makes one float copy of its input, or takes the array
+to write into, and runs each step in place there. ``write_detections``
+turns the columns into Python values one block of ``DETECTION_BLOCK_ROWS``
+rows at a time, so no list of the whole table is built.
+
+The annotations the scoring commands join against load into one columnar
+``AnnotationTable``: rows in (video_id, frame) order, each video's first
+row, and a boolean (N, 21) truth matrix. A logits row finds its frame's row
+by arithmetic on those offsets (``rows_of``), with no per-frame key.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import FrameAnnotation
+from .dataset import FrameAnnotation, VideoRecord, by_video_id
 from .errors import RecordError
 # ``read_jsonl`` is unused here; bench/tracer.py patches it in this module by name.
 from .jsonl import read_jsonl, record_line, stream_jsonl, write_jsonl  # noqa: F401
@@ -97,13 +102,63 @@ class LogitsTable:
     def __len__(self) -> int:
         return len(self.frames)
 
-    def keys(self) -> list[tuple[str, int]]:
-        """(video_id, frame) of every row, in row order."""
-        return list(zip(self.video_ids.tolist(), self.frames.tolist()))
+    def keys(self, rows: np.ndarray | slice = slice(None)) -> list[tuple[str, int]]:
+        """(video_id, frame) of the given rows (every row by default), in row order."""
+        return list(zip(self.video_ids[rows].tolist(), self.frames[rows].tolist()))
 
     def select(self, rows: np.ndarray) -> "LogitsTable":
         """The rows picked by a boolean mask or an index array."""
         return LogitsTable(self.video_ids[rows], self.frames[rows], self.values[rows])
+
+
+@dataclass(frozen=True, eq=False)
+class AnnotationTable:
+    """Annotated frames as columns, one row per frame in (video_id, frame) order.
+
+    Video ``video_ids[v]`` (sorted) holds rows ``starts[v]`` to
+    ``starts[v + 1]``; as a ``VideoRecord``'s frames run from 0 with no
+    gaps, its frame f is row ``starts[v] + f``. ``truth`` holds each row's
+    ``truth_bits`` as booleans.
+    """
+
+    video_ids: np.ndarray  # str, sorted, shape (V,)
+    starts: np.ndarray  # int64, shape (V + 1,)
+    truth: np.ndarray  # bool, shape (N, 21)
+
+    @classmethod
+    def from_records(cls, records: list[VideoRecord], vocab: Vocabulary) -> "AnnotationTable":
+        """The table of the records, its truth matrix filled in one pass over their frames."""
+        videos = by_video_id(records)
+        starts = np.zeros(len(videos) + 1, dtype=np.int64)
+        np.cumsum([len(v) for v in videos], out=starts[1:])
+        width, n_instruments = len(vocab.detection_classes), len(vocab.instruments)
+        cells = array("q")  # flat index of every true cell
+        for row, frame in enumerate(f for v in videos for f in v.frames):
+            for triplet in frame.triplets:
+                cells.append(row * width + triplet.instrument)
+                if triplet.target is not None:
+                    cells.append(row * width + n_instruments + triplet.target)
+        truth = np.zeros((int(starts[-1]), width), dtype=bool)
+        truth.reshape(-1)[np.frombuffer(cells, dtype=np.int64)] = True
+        return cls(np.array([v.video_id for v in videos], dtype=str), starts, truth)
+
+    def __len__(self) -> int:
+        return len(self.truth)
+
+    def keys(self, rows: np.ndarray) -> list[tuple[str, int]]:
+        """(video_id, frame) of the given rows, in the order given."""
+        video = np.searchsorted(self.starts, rows, side="right") - 1
+        return list(zip(self.video_ids[video].tolist(), (rows - self.starts[video]).tolist()))
+
+    def rows_of(self, table: LogitsTable) -> np.ndarray:
+        """The row of the frame behind each logits row, or -1 where none is annotated."""
+        names, codes = np.unique(table.video_ids, return_inverse=True)
+        at = np.searchsorted(self.video_ids, names)
+        # Frames per distinct logits video: 0 for a video not annotated.
+        sizes = np.append(np.diff(self.starts), 0)[at] * np.isin(names, self.video_ids)
+        frames = table.frames
+        inside = (frames >= 0) & (frames < sizes[codes])
+        return np.where(inside, self.starts[at][codes] + frames, -1)
 
 
 @dataclass(frozen=True)
@@ -192,20 +247,26 @@ def softmax(z: np.ndarray, axis: int = -1) -> np.ndarray:
 
 
 def probabilities_from_logits(
-    logits: np.ndarray, mode: str = "sigmoid", temperature: float = 1.0
+    logits: np.ndarray,
+    mode: str = "sigmoid",
+    temperature: float = 1.0,
+    *,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Map raw scores to [0, 1] after dividing by the temperature.
 
     Sigmoid yields independent per-class probabilities (the multi-label
     default); softmax yields a distribution summing to one. The division
-    makes the one copy of the matrix, and the squashing runs in place on it.
+    writes into ``out``, by default the one copy of the matrix, and the
+    squashing runs in place there. ``out=logits`` (a float array) squashes
+    the logits themselves, for a caller that needs them no more.
     """
     if temperature <= 0:
         raise ValueError(f"temperature must be positive, got {temperature}")
     if mode not in ("sigmoid", "softmax"):
         raise ValueError(f"mode must be 'sigmoid' or 'softmax', got {mode!r}")
     z = np.asarray(logits, dtype=float)
-    scaled = np.divide(z, temperature, out=np.empty_like(z))
+    scaled = np.divide(z, temperature, out=np.empty_like(z) if out is None else out)
     squash = _sigmoid_in_place(scaled) if mode == "sigmoid" else _softmax_in_place(scaled, -1)
     return _squashed(squash)
 

@@ -14,13 +14,13 @@ provider for demos and tests; it is not a contextual encoder.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from collections.abc import Sequence
 from pathlib import Path
 
 import numpy as np
 
+from .digest import sha256
 from .errors import RecordError
 # ``read_jsonl`` is unused here; bench/tracer.py patches it in this module by name.
 from .jsonl import read_jsonl, stream_jsonl, write_jsonl  # noqa: F401
@@ -56,7 +56,7 @@ class EmbeddedText:
 def embedding_key(tokens: Sequence[str]) -> str:
     """Stable lookup key for a token sequence."""
     joined = "\x1f".join(tokens)
-    return hashlib.sha256(joined.encode("utf-8")).hexdigest()
+    return sha256(joined.encode("utf-8")).hexdigest()
 
 
 class EmbeddingTable:
@@ -129,7 +129,7 @@ def deterministic_token_embeddings(
         raise ValueError(f"mode must be 'gaussian' or 'basis', got {mode!r}")
     vectors = np.zeros((len(tokens), dim))
     for i, token in enumerate(tokens):
-        digest = hashlib.sha256(token.encode("utf-8")).digest()
+        digest = sha256(token.encode("utf-8")).digest()
         if mode == "basis":
             vectors[i, int.from_bytes(digest[:4], "big") % dim] = 1.0
         else:

@@ -248,7 +248,7 @@ def classification_metrics(predicted: np.ndarray, truth: np.ndarray) -> Classifi
     true = np.asarray(truth)
     if pred.ndim != 2 or pred.shape[0] == 0 or pred.shape != true.shape:
         raise ValueError(f"need equal non-empty (N, K) matrices, got {pred.shape} and {true.shape}")
-    pred, true = pred.astype(bool), true.astype(bool)
+    pred, true = (m if m.dtype == bool else m.astype(bool) for m in (pred, true))
     tp = float((pred & true).sum())
     fp = float((pred & ~true).sum())
     fn = float((~pred & true).sum())
@@ -302,12 +302,15 @@ def average_precision(
     ``scores`` and ``truth`` are (N, K) matrices: one row per frame, one
     column per detection class, instruments first. Classes without
     positives are excluded from the means and reported in ``excluded``.
+    The truth may be 0/1 or boolean; it is made float one column at a time.
     """
     scores = np.asarray(scores, dtype=float)
-    truth = np.asarray(truth, dtype=float)
+    truth = np.asarray(truth)
     if scores.ndim != 2 or scores.shape != truth.shape:
         raise ValueError(f"need equal (N, K) matrices, got {scores.shape} and {truth.shape}")
-    per_class = tuple(_ap(scores[:, k], truth[:, k]) for k in range(scores.shape[1]))
+    per_class = tuple(
+        _ap(scores[:, k], np.asarray(truth[:, k], dtype=float)) for k in range(scores.shape[1])
+    )
     excluded = tuple(i for i, ap in enumerate(per_class) if ap is None)
     instrument_aps = [ap for ap in per_class[:n_instruments] if ap is not None]
     target_aps = [ap for ap in per_class[n_instruments:] if ap is not None]

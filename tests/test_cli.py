@@ -23,7 +23,7 @@ import surgreport.report
 from surgreport.captions import synthesize_clip_caption, synthesize_frame_caption
 from surgreport.cli import COMMANDS, main
 from surgreport.config import load_config
-from surgreport.dataset import load_annotations, write_annotations
+from surgreport.dataset import load_annotations, split_dataset, write_annotations
 from surgreport.detection import LogitsRecord, truth_bits, write_logits
 from surgreport.embeddings import EmbeddingTable, deterministic_token_embeddings, embedding_key
 from surgreport.jsonl import read_jsonl
@@ -377,7 +377,29 @@ def test_calibrate_missing_logits_rows(tmp_path, vocab, capsys):
         },
     )
     assert main(["calibrate", "--config", config]) == 1
-    assert "missing logits rows" in capsys.readouterr().err
+    split = load_config(config).split
+    validation = sorted(split_dataset(records, split.ratios, split.seed, split.granularity).validation)
+    missing = [ref for ref in validation if ref[1] >= 10]
+    assert missing
+    assert capsys.readouterr().err == (
+        f"error: missing logits rows for {len(missing)} validation frames, e.g. {missing[:3]}\n"
+    )
+
+
+def test_evaluate_logits_rows_without_annotations(workspace, vocab, capsys):
+    tmp_path, records, annotations, out, _ = workspace
+    logits_path = tmp_path / "logits.jsonl"
+    extra = [LogitsRecord(v, f, (0.0,) * 21) for v, f in [("VID01", 80), ("VID09", 0), ("VID02", 1000)]]
+    logits = make_logits(records, vocab)
+    write_logits(logits_path, logits[:5] + extra + logits[5:] + [LogitsRecord("VID03", 0, (0.0,) * 21)])
+    config = write_config(
+        tmp_path / "config.yaml",
+        paths={"annotations": str(annotations), "logits": str(logits_path), "output_dir": str(out)},
+    )
+    assert main(["evaluate", "--config", config]) == 1
+    assert capsys.readouterr().err == (
+        "error: logits rows without annotations, e.g. [('VID01', 80), ('VID09', 0), ('VID02', 1000)]\n"
+    )
 
 
 def test_calibrate_missing_logits_file(workspace, capsys):
@@ -436,14 +458,18 @@ def test_evaluate_key_mismatch(workspace, vocab, capsys):
     assert main(["preprocess", "--config", config]) == 0
     truncated = tmp_path / "generated.jsonl"
     lines = (out / "frame_captions.jsonl").read_text().splitlines()
-    truncated.write_text("\n".join(lines[:-1]) + "\n", encoding="utf-8")
+    extra = [json.dumps({"video_id": v, "frame": f, "text": "x"}) for v, f in [("VID09", 0), ("VID01", 99)]]
+    truncated.write_text("\n".join(extra + lines[:-1]) + "\n", encoding="utf-8")
     config = write_config(
         tmp_path / "config.yaml",
         paths={"annotations": str(annotations), "output_dir": str(out)},
         evaluate={"generated_frame_captions": str(truncated)},
     )
     assert main(["evaluate", "--config", config]) == 1
-    assert "do not align" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "error: frame caption keys do not align: generated-only [('VID01', 99), ('VID09', 0)], "
+        "reference-only [('VID02', 79)]\n"
+    )
 
 
 def test_evaluate_perturbed_captions_below_one(workspace, vocab):
@@ -786,6 +812,31 @@ def test_only_the_scoring_commands_load_numpy(workspace, vocab):
     )
     last_line = _python(code, config).splitlines()[-1]
     assert json.loads(last_line) == {"preprocess": False, "report": False, "detect": True}
+
+
+def test_no_command_loads_openssl(workspace, vocab):
+    tmp_path, _, annotations, out, _ = workspace
+    logits_path, _, config = _logits_workspace(workspace, vocab)
+    assert main(["preprocess", "--config", config]) == 0
+    embeddings = tmp_path / "embeddings.jsonl"
+    _embeddings_for_captions([out / "frame_captions.jsonl"], embeddings)
+    config = write_config(
+        tmp_path / "config.yaml",
+        paths={"annotations": str(annotations), "logits": str(logits_path),
+               "embeddings": str(embeddings), "output_dir": str(out)},
+        evaluate={"generated_frame_captions": str(out / "frame_captions.jsonl")},
+    )
+    code = (
+        "import json, sys\n"
+        "from surgreport.cli import COMMANDS, main\n"
+        "loaded = {}\n"
+        "for command in COMMANDS:\n"
+        "    assert main([command, '--config', sys.argv[1], '--offline']) == 0\n"
+        "    loaded[command] = '_hashlib' in sys.modules\n"
+        "print(json.dumps(loaded))\n"
+    )
+    last_line = _python(code, config).splitlines()[-1]
+    assert json.loads(last_line) == dict.fromkeys(COMMANDS, False)
 
 
 def test_every_public_name_is_its_submodule_object():
@@ -1136,10 +1187,46 @@ def test_evaluate_rejects_a_repeated_caption_key(workspace, capsys, kind, side):
         evaluate={f"{label}_{kind}_captions": str(path) for label, path in files.items()},
     )
     assert main(["evaluate", "--config", config]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: {files[side]}:3: ")
-    assert "repeat" in err
-    assert len(err.splitlines()) == 1
+    key = (repeated["video_id"], repeated["frame" if kind == "frame" else "start_frame"])
+    assert capsys.readouterr().err == (
+        f"error: {files[side]}:3: {kind} caption {key} repeats an earlier row\n"
+    )
+
+
+def test_evaluate_caption_ids_that_differ_by_a_trailing_nul_are_two_keys(tmp_path):
+    rows = [{"video_id": v, "frame": 0, "text": "the hook is idle"} for v in ("V", "V\0")]
+    captions = tmp_path / "captions.jsonl"
+    captions.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+    config = write_config(
+        tmp_path / "config.yaml",
+        paths={"output_dir": str(tmp_path / "out")},
+        evaluate={"generated_frame_captions": str(captions), "reference_frame_captions": str(captions)},
+    )
+    assert main(["evaluate", "--config", config]) == 0
+    [row] = read_jsonl(tmp_path / "out" / "metrics.jsonl")
+    assert row["bleu"] == row["rougeL"] == 1.0
+
+
+def test_evaluate_reports_the_first_row_that_repeats_a_caption_key(workspace, capsys):
+    tmp_path, _, annotations, out, config = workspace
+    assert main(["preprocess", "--config", config]) == 0
+    lines = (out / "frame_captions.jsonl").read_text(encoding="utf-8").splitlines()
+    # Line 4 repeats line 3's key; line 6, written after it, repeats line 1's, which sorts first.
+    lines.insert(3, lines[2])
+    lines.insert(5, lines[0])
+    generated = tmp_path / "generated.jsonl"
+    generated.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    config = write_config(
+        tmp_path / "config.yaml",
+        paths={"annotations": str(annotations), "output_dir": str(out)},
+        evaluate={"generated_frame_captions": str(generated)},
+    )
+    assert main(["evaluate", "--config", config]) == 1
+    row = json.loads(lines[2])
+    key = (row["video_id"], row["frame"])
+    assert capsys.readouterr().err == (
+        f"error: {generated}:4: frame caption {key} repeats an earlier row\n"
+    )
 
 
 @pytest.mark.parametrize(

@@ -17,10 +17,11 @@ from surgreport.dataset import (
     phase_duration_table,
     serialize_annotations,
     split_dataset,
+    split_labels,
 )
 from surgreport.errors import AnnotationError, RecordError
 from surgreport.jsonl import iter_jsonl
-from surgreport.vocab import NULL_TARGET_NAME, NULL_TOKEN, NULL_VERB_NAME, Vocabulary
+from surgreport.vocab import NULL_TARGET_NAME, NULL_TOKEN, NULL_VERB_NAME, Vocabulary, default_vocabulary
 
 from conftest import frame, make_corpus
 
@@ -165,6 +166,56 @@ def test_split_video_granularity_keeps_videos_whole(vocab):
             assert {ref for ref in part if ref[0] == video} == {
                 (video, i) for i in range(40)
             }
+
+
+def _split_oracle(records, ratios, seed, granularity):
+    """The frozenset split drawn from the shuffled (video_id, frame) refs themselves."""
+    rng = random.Random(seed)
+    if granularity == "frame":
+        refs = sorted((rec.video_id, f.frame_index) for rec in records for f in rec.frames)
+        rng.shuffle(refs)
+        total = len(refs)
+        exact = [r * total for r in ratios]
+        counts = [int(x) for x in exact]
+        for i in sorted(range(3), key=lambda i: (-(exact[i] - counts[i]), i))[: total - sum(counts)]:
+            counts[i] += 1
+        n_train, n_test = counts[0], counts[1]
+        parts = (refs[:n_train], refs[n_train : n_train + n_test], refs[n_train + n_test :])
+    else:
+        videos = sorted(records, key=lambda r: r.video_id)
+        rng.shuffle(videos)
+        targets = [r * sum(len(v) for v in videos) for r in ratios]
+        filled = [0, 0, 0]
+        parts = ([], [], [])
+        for video in videos:
+            slot = max(range(3), key=lambda i: (targets[i] - filled[i], -i))
+            parts[slot].extend((video.video_id, f.frame_index) for f in video.frames)
+            filled[slot] += len(video)
+    return tuple(frozenset(part) for part in parts)
+
+
+@st.composite
+def _split_cases(draw):
+    lengths = draw(st.lists(st.integers(1, 60), min_size=1, max_size=6))
+    names = draw(st.permutations([f"V{i}" for i in range(len(lengths))]))
+    records = [_record_of(default_vocabulary(), n, name) for n, name in zip(lengths, names)]
+    a = draw(st.floats(0.0, 1.0))
+    b = draw(st.floats(0.0, 1.0 - a))
+    return records, (a, b, 1.0 - a - b), draw(st.integers(0, 2**32))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_split_cases(), st.sampled_from(["frame", "video"]))
+def test_split_labels_equal_the_shuffled_refs_oracle(case, granularity):
+    records, ratios, seed = case
+    expected = _split_oracle(records, ratios, seed, granularity)
+    split = split_dataset(records, ratios, seed, granularity)
+    assert (split.train, split.test, split.validation) == expected
+    labels = split_labels(records, ratios, seed, granularity)
+    rows = [(rec.video_id, f.frame_index) for rec in sorted(records, key=lambda r: r.video_id)
+            for f in rec.frames]
+    assert tuple(frozenset(ref for ref, label in zip(rows, labels) if label == part)
+                 for part in range(3)) == expected
 
 
 def test_minutes_half_up_rounding():

@@ -10,7 +10,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from surgreport import cli
+from surgreport.config import config_from_mapping
+from surgreport.dataset import write_annotations
 from surgreport.detection import (
+    AnnotationTable,
     ClassWeights,
     LogitsTable,
     class_weights,
@@ -30,7 +33,7 @@ from surgreport.detection import (
 )
 from surgreport.errors import RecordError
 
-from conftest import frame, make_corpus, traced_peak
+from conftest import frame, make_corpus, make_logits, traced_peak
 
 
 def test_patch_count_standard_input():
@@ -459,6 +462,17 @@ def test_squash_peak_is_one_copy_of_the_matrix(guard_logits, squash, bound):
     assert traced_peak(lambda: squash(guard_logits)) <= bound * guard_logits.nbytes
 
 
+@pytest.mark.parametrize("mode, temperature", [("sigmoid", 1.0), ("softmax", 2.0)])
+def test_squashing_into_the_logits_matches_the_copy(guard_logits, mode, temperature):
+    expected = probabilities_from_logits(guard_logits, mode, temperature)
+    z = guard_logits.copy()
+    peak = traced_peak(lambda: probabilities_from_logits(z, mode, temperature, out=z))
+    assert peak < 0.1 * z.nbytes
+    assert np.array_equal(z, expected)
+    z = guard_logits.copy()
+    assert probabilities_from_logits(z, mode, temperature, out=z) is z
+
+
 def test_write_detections_peak_is_a_small_share_of_the_matrix(tmp_path, vocab, guard_logits):
     ids = np.array([f"VID{i % 50:02d}" for i in range(GUARD_ROWS)])
     table = LogitsTable(ids, np.arange(GUARD_ROWS, dtype=np.int64), guard_logits)
@@ -469,12 +483,41 @@ def test_write_detections_peak_is_a_small_share_of_the_matrix(tmp_path, vocab, g
     assert peak < 0.25 * guard_logits.nbytes
 
 
-def test_truth_matrix_peak_is_below_two_matrices(vocab):
-    cli._bind_deferred()
+def test_annotation_table_rows_truth_and_join(vocab):
+    records = make_corpus(vocab, n_videos=4, n_frames=30, seed=4)
+    table = AnnotationTable.from_records(records[::-1], vocab)
+    assert table.video_ids.tolist() == ["VID01", "VID02", "VID03", "VID04"]
+    assert table.starts.tolist() == [0, 30, 60, 90, 120]
+    assert table.truth.dtype == bool
+    assert table.truth.tolist() == [
+        truth_bits(f, vocab).astype(bool).tolist() for r in records for f in r.frames
+    ]
+    assert table.keys(np.array([31, 0, 119])) == [("VID02", 1), ("VID01", 0), ("VID04", 29)]
+    keys = [("VID03", 2), ("VID09", 0), ("VID01", 30), ("VID01", -1), ("VID04", 29), ("VID01", 0)]
+    logits = LogitsTable(
+        np.array([v for v, _ in keys]), np.array([f for _, f in keys]), np.zeros((len(keys), 21))
+    )
+    assert table.rows_of(logits).tolist() == [62, -1, -1, -1, 119, 0]
+
+
+@pytest.fixture(scope="module")
+def guard_config(tmp_path_factory, vocab):
+    """A config over GUARD_ROWS annotated frames and their logits, and the logits matrix's bytes."""
+    root = tmp_path_factory.mktemp("guard")
     records = make_corpus(vocab, n_videos=10, n_frames=GUARD_ROWS // 10, seed=4)
-    keys = [(r.video_id, f.frame_index) for r in records for f in r.frames]
-    assert len(keys) == GUARD_ROWS
-    matrix = cli._truth_matrix(records, keys, vocab)
-    assert matrix.tolist() == [truth_bits(f, vocab).tolist() for r in records for f in r.frames]
-    peak = traced_peak(lambda: cli._truth_matrix(records, keys, vocab))
-    assert peak <= 2 * matrix.nbytes
+    write_annotations(root / "annotations.jsonl", records, vocab)
+    write_logits(root / "logits.jsonl", make_logits(records, vocab, seed=5))
+    paths = {name: str(root / f"{name}.jsonl") for name in ("annotations", "logits")}
+    config = config_from_mapping({"paths": {**paths, "output_dir": str(root / "out")}})
+    cli._bind_deferred()
+    return config, GUARD_ROWS * len(vocab.detection_classes) * 8
+
+
+def test_calibrate_peak_is_below_two_logits_matrices(guard_config):
+    config, logits_bytes = guard_config
+    assert traced_peak(lambda: cli.cmd_calibrate(config, None)) <= 2 * logits_bytes
+
+
+def test_evaluate_detection_peak_is_below_two_logits_matrices(guard_config):
+    config, logits_bytes = guard_config
+    assert traced_peak(lambda: cli.cmd_evaluate(config, None)) <= 2 * logits_bytes

@@ -217,6 +217,26 @@ def test_average_precision_matrix_matches_per_class_pairs():
     assert result.instruments == float(np.mean([result.per_class[k] for k in (0, 1, 2, 4, 5)]))
 
 
+def test_boolean_truth_scores_bitwise_as_float_truth():
+    rng = np.random.default_rng(31)
+    scores = np.round(rng.random((500, 21)), 2)
+    truth = rng.random((500, 21)) < 0.2
+    truth[:, 5] = False
+    predicted = threshold_detect(scores, 0.5)
+    assert average_precision(scores, truth) == average_precision(scores, truth.astype(float))
+    assert classification_metrics(predicted, truth) == classification_metrics(
+        predicted.astype(float), truth.astype(float)
+    )
+
+
+def test_average_precision_makes_no_copy_of_the_whole_truth():
+    rng = np.random.default_rng(37)
+    scores = rng.random((20_000, 21))
+    truth = rng.random((20_000, 21)) < 0.2
+    # One float column per class at a time; the whole float truth would be scores.nbytes.
+    assert traced_peak(lambda: average_precision(scores, truth)) < 0.75 * scores.nbytes
+
+
 def bleu_oracle(candidate, reference, max_n=4):
     if not candidate:
         return 0.0
