@@ -20,8 +20,15 @@ with an endpoint loads it, through the HTTP stack's ``ssl``.
 ``calibrate`` and ``evaluate`` join the annotations with the logits, and
 the split with both, through one ``AnnotationTable``: rows in (video_id,
 frame) order, so the split is a label per row and a logits row finds its
-truth row by offset. Caption files are paired by sorting each side's key
-columns, not through dicts keyed by (video_id, frame) tuples.
+truth row by offset. Keys have one encoding, from ``rank_keys``: a video
+id's rank among the sorted distinct ids, and the frame. Caption files are
+paired by sorting each side's keys, not through dicts keyed by (video_id,
+frame) tuples.
+
+``report`` runs one job per video (in order offline, in the endpoint's
+thread pool otherwise): it merges the clips, renders the timeline text once
+and writes the offline report, then the endpoint report from the same text.
+After the first endpoint failure, the jobs left write offline reports only.
 """
 
 from __future__ import annotations
@@ -31,6 +38,7 @@ import importlib
 import json
 import logging
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from operator import attrgetter
 from pathlib import Path
@@ -50,8 +58,7 @@ from .dataset import load_annotations, phase_duration_table, split_dataset, spli
 from .errors import ConfigError, EndpointError, RecordError, SurgReportError
 from .jsonl import record_line, write_jsonl, write_text
 from .report import (
-    llm_generate, merge_timeline, offline_report, render_prompt, render_timeline, sidecar_timeline,
-    write_report,
+    llm_generate, merge_timeline, offline_report, render_prompt, render_timeline, write_report,
 )
 from .windowing import window_video, write_clip_manifest
 
@@ -62,8 +69,8 @@ _DEFERRED = {
     for module, names in {
         "numpy": "np",
         ".calibration": "bins_csv calibration_record fit_temperature",
-        ".detection": "AnnotationTable probabilities_from_logits read_logits threshold_detect "
-        "truth_bits write_detections",
+        ".detection": "AnnotationTable probabilities_from_logits rank_keys read_logits "
+        "threshold_detect truth_bits write_detections",
         ".embeddings": "EmbeddingTable",
         ".metrics": "MetricReport aggregate_caption_metrics average_precision classification_metrics",
     }.items()
@@ -188,8 +195,8 @@ def cmd_detect(config: PipelineConfig, videos: list[str] | None) -> list[Path]:
     vocab = config.vocabulary()
     table = read_logits(config.paths.logits)
     if videos:
-        _check_videos(videos, set(table.video_ids.tolist()))
-        table = table.select(np.isin(table.video_ids, videos))
+        _check_videos(videos, table.names)
+        table = table.select(np.array([name in videos for name in table.names])[table.codes])
     if not len(table):
         raise ConfigError("no logits records to process")
     # Only the keys of the table are written, so its logits are squashed where they are.
@@ -260,24 +267,13 @@ def _caption_texts(path: str, kind: str) -> tuple[list[str], np.ndarray, list[st
 
     A repeated key is an error, reported at the first row that repeats one.
     """
-    if kind == "frame":
-        captions = read_frame_captions(path)
-        frame_of = attrgetter("frame_index")
-    else:
-        captions = read_clip_captions(path)
-        frame_of = attrgetter("start_frame")
+    captions = (read_frame_captions if kind == "frame" else read_clip_captions)(path)
+    frame_of = attrgetter("frame_index" if kind == "frame" else "start_frame")
     frames = np.fromiter(map(frame_of, captions), np.int64, len(captions))  # each in [0, 2**63)
-    # Video ids are ranked in Python's order, so each distinct string is its own key.
-    names = sorted({c.video_id for c in captions})
-    rank = {name: k for k, name in enumerate(names)}
-    codes = np.fromiter((rank[c.video_id] for c in captions), np.int64, len(captions))
-    # Within a key, rows sort by index: each repeat follows an earlier row.
-    order = np.lexsort((np.arange(len(captions)), frames, codes))
-    repeats = (np.diff(codes[order]) == 0) & (np.diff(frames[order]) == 0)
-    if repeats.any():
-        index = int(order[1:][repeats].min())
-        key = (captions[index].video_id, frame_of(captions[index]))
-        raise RecordError(f"{kind} caption {key} repeats an earlier row", path, record_line(path, index))
+    names, codes, order, repeat = rank_keys([c.video_id for c in captions], frames)
+    if repeat is not None:
+        key = (captions[repeat].video_id, frame_of(captions[repeat]))
+        raise RecordError(f"{kind} caption {key} repeats an earlier row", path, record_line(path, repeat))
     ids = [names[k] for k in codes[order].tolist()]  # one str per distinct id, not one per row
     return ids, frames[order], [captions[i].text for i in order.tolist()]
 
@@ -415,30 +411,28 @@ def cmd_report(config: PipelineConfig, videos: list[str] | None) -> list[Path]:
 
     report_dir = config.output_dir() / "reports"
     endpoint = None if config.report.offline else config.report.endpoint
-    # Each video's clips and offline report, for the endpoint reports: the
-    # timeline text is read back from the offline sidecar, not held here.
-    jobs: list[tuple[list, Path]] = []
-    outputs: list[Path] = []
-    for _, clips in sorted(selected.items()):
+    failed = threading.Event()  # set at the first endpoint failure: later jobs send no request
+
+    def report(clips: list) -> list[Path]:
         timeline = merge_timeline(clips)
-        path = write_report(report_dir, offline_report(timeline, vocab), render_timeline(timeline, vocab))
-        outputs.append(path)
-        if endpoint is not None:
-            jobs.append((clips, path))
-
-    if endpoint is not None:
-        def generate(job):
-            clips, offline_path = job
-            report = llm_generate(render_prompt(clips), endpoint)
-            return write_report(report_dir, report, sidecar_timeline(offline_path), ".llm")
-
-        with ThreadPoolExecutor(max_workers=endpoint.parallelism) as pool:
+        text = render_timeline(timeline, vocab)
+        paths = [write_report(report_dir, offline_report(timeline, vocab), text)]
+        if endpoint is not None and not failed.is_set():
             try:
-                outputs.extend(pool.map(generate, jobs))
+                generated = llm_generate(render_prompt(clips), endpoint)
             except EndpointError as exc:
-                # The offline artifacts above are already on disk.
+                failed.set()
                 raise EndpointError(f"endpoint report failed: {exc}") from exc
-    return outputs
+            paths.append(write_report(report_dir, generated, text, ".llm"))
+        return paths
+
+    if endpoint is None:
+        reports = [report(selected[v]) for v in sorted(selected)]
+    else:
+        with ThreadPoolExecutor(max_workers=endpoint.parallelism) as pool:
+            futures = [pool.submit(report, selected[v]) for v in sorted(selected)]
+        reports = [future.result() for future in futures]  # every offline report is on disk by now
+    return [path for kind in zip(*reports) for path in kind]  # offline paths, then endpoint paths
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -5,18 +5,21 @@ The detection class space has 21 entries: the 6 instruments followed by the
 them to probabilities, applies thresholded multi-label detection, and
 evaluates the class-weighted binary cross-entropy.
 
-A logits file loads into one columnar ``LogitsTable``: ``video_ids`` and
-``frames`` with one entry per row, and ``values``, a float matrix of shape
-(N, 21). ``read_logits`` fills those columns one record at a time, checking
-row width and numbers as it goes, then checks the whole table in one
-vectorized pass (finiteness, duplicate (video, frame) keys); it reports the
-first bad record with its file and line. Squashing and thresholding work on
-any array whose last axis is the class axis, so the pipeline makes one call
-of each per table, and ``threshold_detect`` returns a boolean mask of the
-same shape. Squashing makes one float copy of its input, or takes the array
-to write into, and runs each step in place there. ``write_detections``
-turns the columns into Python values one block of ``DETECTION_BLOCK_ROWS``
-rows at a time, so no list of the whole table is built.
+A logits file loads into one columnar ``LogitsTable``: ``names``, the
+sorted distinct video ids; per row, ``codes`` (an index into ``names``) and
+``frames``; and ``values``, a float matrix of shape (N, 21). ``read_logits``
+fills those columns one record at a time, checking row width and numbers as
+it goes, then checks the whole table at once (finiteness, duplicate (video,
+frame) keys); it reports the first bad record with its file and line.
+``rank_keys`` encodes the keys of logits and caption files alike, ranking
+ids in Python's string order, so ``"V"`` and ``"V\\0"`` are two videos.
+Squashing and thresholding work on any array whose last axis is the class
+axis, so the pipeline makes one call of each per table, and
+``threshold_detect`` returns a boolean mask of the same shape. Squashing
+makes one float copy of its input, or takes the array to write into, and
+runs each step in place there. ``write_detections`` turns the columns into
+Python values one block of ``DETECTION_BLOCK_ROWS`` rows at a time, so no
+list of the whole table is built.
 
 The annotations the scoring commands join against load into one columnar
 ``AnnotationTable``: rows in (video_id, frame) order, each video's first
@@ -27,7 +30,7 @@ by arithmetic on those offsets (``rows_of``), with no per-frame key.
 from __future__ import annotations
 
 from array import array
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from itertools import compress
 from pathlib import Path
@@ -93,9 +96,10 @@ class LogitsRecord:
 
 @dataclass(frozen=True, eq=False)
 class LogitsTable:
-    """Logits of many frames as columns: row i is frame (video_ids[i], frames[i])."""
+    """Logits of many frames as columns: row i is frame (names[codes[i]], frames[i])."""
 
-    video_ids: np.ndarray  # str, shape (N,)
+    names: tuple[str, ...]  # distinct video ids, sorted
+    codes: np.ndarray  # int64, shape (N,)
     frames: np.ndarray  # int64, shape (N,)
     values: np.ndarray  # float64, shape (N, 21)
 
@@ -104,11 +108,11 @@ class LogitsTable:
 
     def keys(self, rows: np.ndarray | slice = slice(None)) -> list[tuple[str, int]]:
         """(video_id, frame) of the given rows (every row by default), in row order."""
-        return list(zip(self.video_ids[rows].tolist(), self.frames[rows].tolist()))
+        return [(self.names[c], f) for c, f in zip(self.codes[rows].tolist(), self.frames[rows].tolist())]
 
     def select(self, rows: np.ndarray) -> "LogitsTable":
         """The rows picked by a boolean mask or an index array."""
-        return LogitsTable(self.video_ids[rows], self.frames[rows], self.values[rows])
+        return LogitsTable(self.names, self.codes[rows], self.frames[rows], self.values[rows])
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,7 +125,7 @@ class AnnotationTable:
     ``truth_bits`` as booleans.
     """
 
-    video_ids: np.ndarray  # str, sorted, shape (V,)
+    video_ids: tuple[str, ...]  # sorted
     starts: np.ndarray  # int64, shape (V + 1,)
     truth: np.ndarray  # bool, shape (N, 21)
 
@@ -140,7 +144,7 @@ class AnnotationTable:
                     cells.append(row * width + n_instruments + triplet.target)
         truth = np.zeros((int(starts[-1]), width), dtype=bool)
         truth.reshape(-1)[np.frombuffer(cells, dtype=np.int64)] = True
-        return cls(np.array([v.video_id for v in videos], dtype=str), starts, truth)
+        return cls(tuple(v.video_id for v in videos), starts, truth)
 
     def __len__(self) -> int:
         return len(self.truth)
@@ -148,17 +152,16 @@ class AnnotationTable:
     def keys(self, rows: np.ndarray) -> list[tuple[str, int]]:
         """(video_id, frame) of the given rows, in the order given."""
         video = np.searchsorted(self.starts, rows, side="right") - 1
-        return list(zip(self.video_ids[video].tolist(), (rows - self.starts[video]).tolist()))
+        return [(self.video_ids[v], f) for v, f in zip(video.tolist(), (rows - self.starts[video]).tolist())]
 
     def rows_of(self, table: LogitsTable) -> np.ndarray:
         """The row of the frame behind each logits row, or -1 where none is annotated."""
-        names, codes = np.unique(table.video_ids, return_inverse=True)
-        at = np.searchsorted(self.video_ids, names)
-        # Frames per distinct logits video: 0 for a video not annotated.
-        sizes = np.append(np.diff(self.starts), 0)[at] * np.isin(names, self.video_ids)
+        index = {video_id: v for v, video_id in enumerate(self.video_ids)}
+        # Each row's video; a video not annotated is V, whose start is N and whose size is 0.
+        video = np.array([index.get(name, len(index)) for name in table.names], dtype=np.int64)[table.codes]
         frames = table.frames
-        inside = (frames >= 0) & (frames < sizes[codes])
-        return np.where(inside, self.starts[at][codes] + frames, -1)
+        inside = (frames >= 0) & (frames < np.append(np.diff(self.starts), 0)[video])
+        return np.where(inside, self.starts[video] + frames, -1)
 
 
 @dataclass(frozen=True)
@@ -348,7 +351,7 @@ def read_logits(path: str | Path) -> LogitsTable:
     number.
     """
     source = str(path)
-    names: dict[str, str] = {}  # one str per video id, not one per row
+    interned: dict[str, str] = {}  # one str per video id, not one per row
     ids: list[str] = []
     frames = array("q")
     lineno = 0
@@ -361,7 +364,7 @@ def read_logits(path: str | Path) -> LogitsTable:
                 message = f"expected {N_DETECTION_CLASSES} logits, got {len(row)}"
                 raise RecordError(message, source, lineno)
             video_id = obj["video_id"]
-            ids.append(names.setdefault(video_id, video_id))
+            ids.append(interned.setdefault(video_id, video_id))
             frames.append(obj["frame"])
             yield row
 
@@ -374,20 +377,34 @@ def read_logits(path: str | Path) -> LogitsTable:
     def fail(index: int, message: str) -> RecordError:
         return RecordError(message, source, record_line(path, index))
 
-    table = LogitsTable(np.array(ids, dtype=str), np.array(frames, dtype=np.int64), values)
-
-    nonfinite = np.flatnonzero(~np.isfinite(table.values).all(axis=1))
+    nonfinite = np.flatnonzero(~np.isfinite(values).all(axis=1))
     if nonfinite.size:
         i = int(nonfinite[0])
         raise fail(i, f"non-finite logit for {ids[i]}@{frames[i]}")
-    _, video_codes = np.unique(table.video_ids, return_inverse=True)
-    order = np.lexsort((np.arange(len(table)), table.frames, video_codes))
-    repeats = (np.diff(video_codes[order]) == 0) & (np.diff(table.frames[order]) == 0)
-    if repeats.any():
-        # Within a key, rows sort by index: each repeat follows an earlier row.
-        i = int(order[1:][repeats].min())
-        raise fail(i, f"duplicate logits row for {ids[i]}@{frames[i]}")
-    return table
+    frame_column = np.array(frames, dtype=np.int64)
+    names, codes, _, repeat = rank_keys(ids, frame_column)
+    if repeat is not None:
+        raise fail(repeat, f"duplicate logits row for {ids[repeat]}@{frames[repeat]}")
+    return LogitsTable(tuple(names), codes, frame_column, values)
+
+
+def rank_keys(
+    video_ids: Sequence[str], frames: np.ndarray
+) -> tuple[list[str], np.ndarray, np.ndarray, int | None]:
+    """The (video_id, frame) keys of some rows, with video ids ranked in Python's order.
+
+    Returns the distinct video ids sorted, each row's rank among them
+    (int64), the row indices in (video_id, frame) order, rows of one key in
+    index order, and the first row whose key an earlier row already holds
+    (None when no key repeats).
+    """
+    names = sorted(set(video_ids))
+    rank = {name: k for k, name in enumerate(names)}
+    codes = np.fromiter((rank[v] for v in video_ids), np.int64, len(video_ids))
+    order = np.lexsort((frames, codes))  # stable: within a key, rows keep their index order
+    repeats = (np.diff(codes[order]) == 0) & (np.diff(frames[order]) == 0)
+    # Each repeat follows an earlier row of its key, so the least is the first repeat.
+    return names, codes, order, int(order[1:][repeats].min()) if repeats.any() else None
 
 
 def write_logits(path: str | Path, records: list[LogitsRecord]) -> int:
@@ -406,14 +423,14 @@ def _detection_records(
     """One record per row; the columns become Python values a block of rows at a time."""
     for start in range(0, len(table), DETECTION_BLOCK_ROWS):
         block = slice(start, start + DETECTION_BLOCK_ROWS)
-        for video_id, frame, probs, hits in zip(
-            table.video_ids[block].tolist(),
+        for code, frame, probs, hits in zip(
+            table.codes[block].tolist(),
             table.frames[block].tolist(),
             probabilities[block].tolist(),
             detected[block].tolist(),
         ):
             yield {
-                "video_id": video_id,
+                "video_id": table.names[code],
                 "frame": frame,
                 "probabilities": probs,
                 "detected": list(compress(names, hits)),

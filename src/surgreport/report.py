@@ -8,8 +8,8 @@ seconds of video.
 
 Each video's clips are merged once; that one timeline feeds the offline
 report, the endpoint report and both timeline sidecars. Its sidecar text is
-rendered once: the endpoint report reads it back from the offline sidecar
-(``sidecar_timeline``), so no text is held through the endpoint fan-out.
+rendered once and written into both sidecars; nothing is read back from
+disk.
 Reports can be produced offline by a deterministic renderer or remotely by
 a chat-completion endpoint fed the standard prompt. The endpoint client is
 the standard library's ``urllib.request``, loaded on the first endpoint
@@ -314,10 +314,6 @@ def render_timeline(timeline: MergedTimeline, vocab: Vocabulary) -> str:
     return json.dumps(timeline_record(timeline, vocab), indent=2).replace("\n", "\n  ")
 
 
-# The sidecar's text around its rendered timeline.
-_TIMELINE_KEY, _SIDECAR_END = '\n  "timeline": ', "\n}\n"
-
-
 def write_report(directory: str | Path, report: SurgicalReport, timeline: str, suffix: str = "") -> Path:
     """Write the narrative text plus a structured timeline sidecar.
 
@@ -331,15 +327,5 @@ def write_report(directory: str | Path, report: SurgicalReport, timeline: str, s
     write_text(text_path, report.narrative + "\n")
     provenance = json.dumps(report.provenance)
     sidecar_path = directory / f"{report.video_id}{suffix}.timeline.json"
-    write_text(sidecar_path, f'{{\n  "provenance": {provenance},{_TIMELINE_KEY}{timeline}{_SIDECAR_END}')
+    write_text(sidecar_path, f'{{\n  "provenance": {provenance},\n  "timeline": {timeline}\n}}\n')
     return text_path
-
-
-def sidecar_timeline(text_path: str | Path) -> str:
-    """The ``timeline`` text of the sidecar that ``write_report`` wrote beside ``text_path``.
-
-    A second report of the video takes its timeline from here, so the text
-    is rendered once and need not be held between the two writes.
-    """
-    sidecar = Path(text_path).with_suffix(".timeline.json").read_bytes().decode("utf-8")
-    return sidecar[sidecar.index(_TIMELINE_KEY) + len(_TIMELINE_KEY) : -len(_SIDECAR_END)]

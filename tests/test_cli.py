@@ -23,14 +23,16 @@ import surgreport.report
 from surgreport.captions import synthesize_clip_caption, synthesize_frame_caption
 from surgreport.cli import COMMANDS, main
 from surgreport.config import load_config
-from surgreport.dataset import load_annotations, split_dataset, write_annotations
+from surgreport.dataset import VideoRecord, load_annotations, split_dataset, write_annotations
 from surgreport.detection import LogitsRecord, truth_bits, write_logits
 from surgreport.embeddings import EmbeddingTable, deterministic_token_embeddings, embedding_key
 from surgreport.jsonl import read_jsonl
 from surgreport.metrics import tokenize
 from surgreport.windowing import window_video
 
-from conftest import StubChatServer, make_calibrated_logits, make_corpus, make_logits, traced_peak
+from conftest import (
+    StubChatServer, frame, make_calibrated_logits, make_corpus, make_logits, traced_peak, triplet,
+)
 
 
 def write_config(path, **sections):
@@ -230,6 +232,38 @@ def test_detect_videos_filter(workspace, vocab):
     assert [(r["video_id"], r["frame"]) for r in rows] == [
         ("VID02", f.frame_index) for f in records[1].frames
     ]
+
+
+def _nul_workspace(tmp_path, vocab, logits):
+    """Annotations of "V" (a grasper in every frame) and "V\\0" (a hook), and the given logits."""
+    records = [
+        VideoRecord(video_id, tuple(frame(vocab, video_id, i, "preparation", [(tool,)]) for i in range(4)))
+        for video_id, tool in (("V", "grasper"), ("V\0", "hook"))
+    ]
+    write_annotations(tmp_path / "annotations.jsonl", records, vocab)
+    write_logits(tmp_path / "logits.jsonl", logits)
+    out = tmp_path / "out"
+    paths = {name: str(tmp_path / f"{name}.jsonl") for name in ("annotations", "logits")}
+    return out, write_config(tmp_path / "config.yaml", paths={**paths, "output_dir": str(out)})
+
+
+def test_detect_videos_tells_an_id_from_the_id_with_a_trailing_nul(tmp_path, vocab):
+    logits = [LogitsRecord(v, f, tuple([1.0] * 21)) for v, f in (("V\0", 0), ("V", 1), ("V\0", 2))]
+    out, config = _nul_workspace(tmp_path, vocab, logits)
+    assert main(["detect", "--config", config, "--videos", "V"]) == 0
+    assert [(r["video_id"], r["frame"]) for r in read_jsonl(out / "detections.jsonl")] == [("V", 1)]
+
+
+def test_evaluate_scores_logits_against_their_own_video_when_ids_differ_by_a_nul(tmp_path, vocab):
+    # Each "V\0" frame's logits name its hook only: scored against "V" they would miss every class.
+    hook = vocab.index_of("instruments", "hook")
+    logits = [
+        LogitsRecord("V\0", f, tuple(8.0 if c == hook else -8.0 for c in range(21))) for f in range(4)
+    ]
+    out, config = _nul_workspace(tmp_path, vocab, logits)
+    assert main(["evaluate", "--config", config]) == 0
+    [row] = read_jsonl(out / "metrics.jsonl")
+    assert (row["precision"], row["recall"], row["accuracy"]) == (1.0, 1.0, 1.0)
 
 
 def test_detect_softmax_of_logits_near_the_float_limit_is_silent(tmp_path):
@@ -566,15 +600,19 @@ def test_report_merges_each_video_once_with_an_endpoint(workspace, monkeypatch):
     tmp_path, records, annotations, out, config = workspace
     assert main(["preprocess", "--config", config]) == 0
     merged: list[str] = []
+    rendered: list[str] = []
 
-    def counting(merge):
-        def wrapper(clips):
-            merged.append(clips[0].video_id)
-            return merge(clips)
+    def counting(function, calls, video_of):
+        def wrapper(*args):
+            calls.append(video_of(args[0]))
+            return function(*args)
         return wrapper
 
     for module in (surgreport.cli, surgreport.report):
-        monkeypatch.setattr(module, "merge_timeline", counting(module.merge_timeline))
+        merge = counting(module.merge_timeline, merged, lambda clips: clips[0].video_id)
+        monkeypatch.setattr(module, "merge_timeline", merge)
+        render = counting(module.render_timeline, rendered, lambda timeline: timeline.video_id)
+        monkeypatch.setattr(module, "render_timeline", render)
     monkeypatch.setenv("SURGREPORT_API_KEY", "k")
     with StubChatServer() as stub:
         config = write_config(
@@ -583,8 +621,28 @@ def test_report_merges_each_video_once_with_an_endpoint(workspace, monkeypatch):
             report={"offline": False, "endpoint": {"base_url": stub.url, "model": "m"}},
         )
         assert main(["report", "--config", config]) == 0
-    assert sorted(merged) == sorted(r.video_id for r in records)
+    assert sorted(merged) == sorted(rendered) == sorted(r.video_id for r in records)
     assert len(stub.requests) == len(records)
+
+
+def test_an_endpoint_that_always_fails_leaves_every_offline_report(workspace, monkeypatch, capsys):
+    tmp_path, records, annotations, out, config = workspace
+    assert main(["preprocess", "--config", config]) == 0
+    monkeypatch.setenv("SURGREPORT_API_KEY", "k")
+    with StubChatServer(status=400) as stub:
+        config = write_config(
+            tmp_path / "config.yaml",
+            paths={"annotations": str(annotations), "output_dir": str(out)},
+            report={"offline": False, "endpoint": {"base_url": stub.url, "model": "m", "parallelism": 1}},
+        )
+        capsys.readouterr()
+        assert main(["report", "--config", config]) == 1
+    # One job at a time: after the first failure, the jobs left send no request.
+    assert len(stub.requests) == 1
+    err = capsys.readouterr().err
+    assert err == "error: endpoint report failed: endpoint answered status 400\n"
+    expected = sorted(f"{r.video_id}{ext}" for r in records for ext in (".timeline.json", ".txt"))
+    assert sorted(p.name for p in (out / "reports").iterdir()) == expected
 
 
 def test_report_endpoint_failure_keeps_offline_artifact(workspace, monkeypatch, capsys):
@@ -668,6 +726,28 @@ def test_report_file_errors_end_in_one_error_line(workspace, capsys):
     clip_path.mkdir()
     assert main(["report", "--config", config]) == 1
     assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: '{clip_path}'\n"
+
+
+def test_report_file_errors_with_an_endpoint_end_in_one_error_line(workspace, monkeypatch, capsys):
+    tmp_path, records, annotations, out, config = workspace
+    assert main(["preprocess", "--config", config]) == 0
+    clip_path = out / "clip_captions.jsonl"
+    long_id = "v" * 300
+    clip_path.write_text(clip_path.read_text().replace('"VID02"', f'"{long_id}"'))
+    monkeypatch.setenv("SURGREPORT_API_KEY", "k")
+    with StubChatServer() as stub:
+        config = write_config(
+            tmp_path / "config.yaml",
+            paths={"annotations": str(annotations), "output_dir": str(out)},
+            report={"offline": False, "endpoint": {"base_url": stub.url, "model": "m"}},
+        )
+        capsys.readouterr()
+        assert main(["report", "--config", config]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: [Errno ") and "File name too long" in err
+    assert err.count("\n") == 1
+    assert f"'{out / 'reports' / long_id}.txt'" in err and ".tmp" not in err
+    assert len(stub.requests) == 1  # VID01's endpoint report; the long id fails before its request
 
 
 def test_report_for_the_longest_id_the_file_system_takes(workspace):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import math
 import random
 
@@ -11,7 +12,7 @@ from hypothesis.extra.numpy import array_shapes, arrays
 
 from surgreport import cli
 from surgreport.config import config_from_mapping
-from surgreport.dataset import write_annotations
+from surgreport.dataset import VideoRecord, write_annotations
 from surgreport.detection import (
     AnnotationTable,
     ClassWeights,
@@ -20,6 +21,7 @@ from surgreport.detection import (
     patch_count,
     patchify,
     probabilities_from_logits,
+    rank_keys,
     read_logits,
     sigmoid,
     softmax,
@@ -332,7 +334,8 @@ def test_logits_file_round_trip(tmp_path):
     assert write_logits(path, records) == 2
     table = read_logits(path)
     assert len(table) == 2
-    assert table.video_ids.tolist() == ["V", "V"]
+    assert table.names == ("V",)
+    assert table.codes.tolist() == [0, 0]
     assert table.frames.tolist() == [0, 1]
     assert table.values.tolist() == [list(r.logits) for r in records]
     assert table.keys() == [("V", 0), ("V", 1)]
@@ -373,7 +376,7 @@ def test_logits_table_select_and_keys(tmp_path):
     records = [LogitsRecord(v, f, tuple([float(f)] * 21)) for v in ("A", "B") for f in (0, 1)]
     write_logits(tmp_path / "logits.jsonl", records)
     table = read_logits(tmp_path / "logits.jsonl")
-    subset = table.select(table.video_ids == "B")
+    subset = table.select(table.codes == table.names.index("B"))
     assert subset.keys() == [("B", 0), ("B", 1)]
     assert subset.values[:, 0].tolist() == [0.0, 1.0]
     assert table.select(np.array([3, 0])).keys() == [("B", 1), ("A", 0)]
@@ -474,8 +477,9 @@ def test_squashing_into_the_logits_matches_the_copy(guard_logits, mode, temperat
 
 
 def test_write_detections_peak_is_a_small_share_of_the_matrix(tmp_path, vocab, guard_logits):
-    ids = np.array([f"VID{i % 50:02d}" for i in range(GUARD_ROWS)])
-    table = LogitsTable(ids, np.arange(GUARD_ROWS, dtype=np.int64), guard_logits)
+    names = tuple(f"VID{i:02d}" for i in range(50))
+    rows = np.arange(GUARD_ROWS, dtype=np.int64)
+    table = LogitsTable(names, rows % len(names), rows, guard_logits)
     probs = probabilities_from_logits(guard_logits)
     detected = threshold_detect(probs)
     path = tmp_path / "detections.jsonl"
@@ -486,7 +490,7 @@ def test_write_detections_peak_is_a_small_share_of_the_matrix(tmp_path, vocab, g
 def test_annotation_table_rows_truth_and_join(vocab):
     records = make_corpus(vocab, n_videos=4, n_frames=30, seed=4)
     table = AnnotationTable.from_records(records[::-1], vocab)
-    assert table.video_ids.tolist() == ["VID01", "VID02", "VID03", "VID04"]
+    assert table.video_ids == ("VID01", "VID02", "VID03", "VID04")
     assert table.starts.tolist() == [0, 30, 60, 90, 120]
     assert table.truth.dtype == bool
     assert table.truth.tolist() == [
@@ -494,10 +498,49 @@ def test_annotation_table_rows_truth_and_join(vocab):
     ]
     assert table.keys(np.array([31, 0, 119])) == [("VID02", 1), ("VID01", 0), ("VID04", 29)]
     keys = [("VID03", 2), ("VID09", 0), ("VID01", 30), ("VID01", -1), ("VID04", 29), ("VID01", 0)]
-    logits = LogitsTable(
-        np.array([v for v, _ in keys]), np.array([f for _, f in keys]), np.zeros((len(keys), 21))
-    )
+    names, codes, _, _ = rank_keys([v for v, _ in keys], np.array([f for _, f in keys]))
+    logits = LogitsTable(tuple(names), codes, np.array([f for _, f in keys]), np.zeros((len(keys), 21)))
     assert table.rows_of(logits).tolist() == [62, -1, -1, -1, 119, 0]
+
+
+def test_rank_keys_orders_rows_and_finds_the_first_repeat():
+    ids = ["B", "A\0", "A", "B", "A\0", "A"]
+    frames = np.array([1, 0, 0, 1, 0, 1])
+    names, codes, order, repeat = rank_keys(ids, frames)
+    assert names == ["A", "A\0", "B"]
+    assert codes.dtype == np.int64 and codes.tolist() == [2, 1, 0, 2, 1, 0]
+    assert order.tolist() == [2, 5, 1, 4, 0, 3]  # rows of one key in index order
+    assert repeat == 3  # row 3 repeats row 0; row 4, which repeats row 1, comes after it
+    assert rank_keys(["A", "B"], np.array([0, 0]))[3] is None
+    assert rank_keys([], np.array([], dtype=np.int64))[3] is None
+
+
+def _logits_lines(keys) -> str:
+    return "".join(
+        '{"video_id": %s, "frame": %d, "logits": [%s]}\n' % (json.dumps(v), f, ", ".join(["0.5"] * 21))
+        for v, f in keys
+    )
+
+
+def test_logits_ids_that_differ_by_a_trailing_nul_are_two_videos(tmp_path, vocab):
+    path = tmp_path / "logits.jsonl"
+    path.write_text(_logits_lines([("V", 0), ("V\0", 0)]))
+    table = read_logits(path)
+    assert table.names == ("V", "V\0")
+    assert table.keys() == [("V", 0), ("V\0", 0)]
+    records = [VideoRecord(v, (frame(vocab, v, 0, "preparation"),)) for v in ("V\0", "V")]
+    annotations = AnnotationTable.from_records(records, vocab)
+    assert annotations.video_ids == ("V", "V\0")
+    assert annotations.rows_of(table).tolist() == [0, 1]
+
+
+def test_a_logits_key_that_differs_by_a_trailing_nul_is_not_a_repeat(tmp_path):
+    path = tmp_path / "logits.jsonl"
+    path.write_text(_logits_lines([("V", 0), ("V\0", 0), ("V\0", 0)]))
+    with pytest.raises(RecordError) as exc:
+        read_logits(path)
+    assert exc.value.line == 3
+    assert "duplicate logits row for V\0@0" in str(exc.value)
 
 
 @pytest.fixture(scope="module")

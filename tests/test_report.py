@@ -23,7 +23,6 @@ from surgreport.report import (
     offline_report,
     render_prompt,
     render_timeline,
-    sidecar_timeline,
     timeline_record,
     write_report,
 )
@@ -494,14 +493,13 @@ def test_sidecar_is_the_indented_dump_of_provenance_and_timeline(tmp_path, vocab
 
 
 @pytest.mark.parametrize("video_id", ["VID01", "case.7", "vidéo \"x\""])
-def test_a_second_report_takes_the_timeline_from_the_first_sidecar(tmp_path, vocab, video_id):
+def test_both_reports_of_a_video_share_one_timeline_text(tmp_path, vocab, video_id):
     clips = [full_phase_clip(vocab, start, video_id=video_id) for start in (0, 16)]
     timeline = merge_timeline(clips)
     text = render_timeline(timeline, vocab)
-    offline = write_report(tmp_path, offline_report(timeline, vocab), text)
-    assert sidecar_timeline(offline) == text
-    endpoint = SurgicalReport(video_id, "narrative", 'llm:"m"')
-    write_report(tmp_path, endpoint, sidecar_timeline(offline), ".llm")
-    expected = {"provenance": 'llm:"m"', "timeline": timeline_record(timeline, vocab)}
-    written = (tmp_path / f"{video_id}.llm.timeline.json").read_text(encoding="utf-8")
-    assert written == json.dumps(expected, indent=2) + "\n"
+    write_report(tmp_path, offline_report(timeline, vocab), text)
+    write_report(tmp_path, SurgicalReport(video_id, "narrative", 'llm:"m"'), text, ".llm")
+    for suffix, provenance in (("", "offline"), (".llm", 'llm:"m"')):
+        expected = {"provenance": provenance, "timeline": timeline_record(timeline, vocab)}
+        written = (tmp_path / f"{video_id}{suffix}.timeline.json").read_text(encoding="utf-8")
+        assert written == json.dumps(expected, indent=2) + "\n"

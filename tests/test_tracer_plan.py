@@ -1,14 +1,16 @@
 """The traced benchmark run patches package functions by name.
 
-``bench/tracer.py`` lists in ``PLAN`` every (module, attribute) it wraps. A
-refactor that drops or renames one of them would only show up as a failing
-traced benchmark run; this test makes it fail here instead.
+``bench/tracer.py`` lists in ``PLAN`` every (module, attribute) it wraps,
+and besides them wraps ``surgreport.cli._caption_pairs`` to label each
+caption scope. A refactor that drops or renames one of them would only show
+up as a failing traced benchmark run; these tests make it fail here instead.
 """
 
 from __future__ import annotations
 
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
@@ -34,3 +36,12 @@ def test_every_traced_name_resolves_on_the_package():
             unresolved.append(f"{target}.{attr}")
     assert unresolved == []
 
+
+
+def test_the_caption_scope_hook_resolves_with_the_arguments_the_tracer_passes():
+    cli = importlib.import_module("surgreport.cli")
+    caption_pairs = getattr(cli, "_caption_pairs", None)
+    assert callable(caption_pairs)
+    # The tracer's wrapper calls it as (generated, reference, kind), by position.
+    bound = inspect.signature(caption_pairs).bind("generated.jsonl", "reference.jsonl", "frame")
+    assert list(bound.arguments)[-1] == "kind"
