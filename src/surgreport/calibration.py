@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detection import PROBABILITY_FLOOR, probabilities_from_logits, sigmoid
+from .detection import PROBABILITY_FLOOR, probabilities_from_logits
 
 DEFAULT_BIN_COUNT = 10
 DEFAULT_SEARCH_RANGE = (0.05, 20.0)
@@ -99,14 +99,14 @@ def ece(bins: ReliabilityBins) -> float:
 
 
 def _as_bitmatrix(labels: np.ndarray, n_classes: int) -> np.ndarray:
-    """Accept class indices or 0/1 label matrices; return an (n, K) matrix."""
+    """Accept class indices or 0/1 label matrices; return an (n, K) float matrix, a float one as is."""
     arr = np.asarray(labels)
     if arr.ndim == 1:
         bits = np.zeros((arr.shape[0], n_classes))
         bits[np.arange(arr.shape[0]), arr.astype(int)] = 1.0
         return bits
     if arr.ndim == 2 and arr.shape[1] == n_classes:
-        return arr.astype(float)
+        return np.asarray(arr, dtype=float)
     raise ValueError(f"labels must be indices or (n, {n_classes}) bit-vectors, got shape {arr.shape}")
 
 
@@ -131,13 +131,13 @@ def nll(
     bits = _as_bitmatrix(labels, z.shape[1])
     if bits.shape[0] != z.shape[0]:
         raise ValueError(f"got {z.shape[0]} logit rows but {bits.shape[0]} label rows")
-    scaled = z / temperature
     if mode == "softmax":
+        scaled = z / temperature
         shift = scaled.max(axis=1, keepdims=True)
         log_probs = scaled - shift - np.log(np.exp(scaled - shift).sum(axis=1, keepdims=True))
         per_sample = -(bits * log_probs).sum(axis=1)
     elif mode == "sigmoid":
-        p = np.clip(sigmoid(scaled), PROBABILITY_FLOOR, 1.0 - PROBABILITY_FLOOR)
+        p = np.clip(probabilities_from_logits(z, mode, temperature), PROBABILITY_FLOOR, 1 - PROBABILITY_FLOOR)
         per_sample = -(bits * np.log(p) + (1.0 - bits) * np.log(1.0 - p)).sum(axis=1)
     else:
         raise ValueError(f"mode must be 'softmax' or 'sigmoid', got {mode!r}")

@@ -38,7 +38,7 @@ from .dataset import FrameAnnotation, Triplet
 from .errors import GrammarError, RecordError
 # ``read_jsonl`` is unused here; bench/tracer.py patches it in this module by name.
 from .jsonl import read_jsonl, stream_jsonl, write_jsonl  # noqa: F401
-from .vocab import NULL_VERB_NAME, Vocabulary
+from .vocab import NULL_TARGET_NAME, NULL_VERB_NAME, Vocabulary
 from .windowing import ClipWindow
 
 
@@ -218,7 +218,8 @@ class _Grammar:
 
     def __init__(self, vocab: Vocabulary):
         self.instruments = _by_length((name, i) for i, name in enumerate(vocab.instruments))
-        self.targets = _by_length((name, i) for i, name in enumerate(vocab.targets))
+        # A clause with no target leaves it out; none names the null target.
+        self.targets = _by_length((n, i) for i, n in enumerate(vocab.targets) if n != NULL_TARGET_NAME)
         self.phases = _by_length((name, i) for i, name in enumerate(vocab.phases))
         self.phase_index = dict(self.phases)
         verbs = [

@@ -185,6 +185,8 @@ def cmd_preprocess(config: PipelineConfig, videos: list[str] | None) -> list[Pat
     lines += [f"{phase},{count},{minutes:.1f}" for phase, count, minutes in durations]
     write_text(outputs[3], "\n".join(lines) + "\n")
     log.info("preprocess: %d frames, %d clips", frame_count, clip_count)
+    if short := [rec.video_id for rec in records if len(rec) < config.windowing.size]:
+        log.warning("preprocess: no clip, so no report, for videos shorter than windowing.size: %s", short)
     return outputs
 
 

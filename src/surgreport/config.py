@@ -117,7 +117,9 @@ class EndpointConfig(_Checked):
 @dataclass(frozen=True)
 class ReportSettings(_Checked):
     offline: bool = True
-    endpoint: EndpointConfig | None = None
+    endpoint: EndpointConfig | None = _rule(
+        None, lambda v, s: s.offline or v is not None, "an endpoint section, or null when offline is true"
+    )
 
 
 @dataclass(frozen=True)

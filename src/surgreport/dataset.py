@@ -42,22 +42,6 @@ class Triplet(NamedTuple):
     verb: int | None = None
     target: int | None = None
 
-    def validate(self, vocab: Vocabulary) -> None:
-        if not 0 <= self.instrument < len(vocab.instruments):
-            raise ValueError(f"instrument index {self.instrument} out of range")
-        if self.verb is not None and not 0 <= self.verb < len(vocab.verbs):
-            raise ValueError(f"verb index {self.verb} out of range")
-        if self.target is not None and not 0 <= self.target < len(vocab.targets):
-            raise ValueError(f"target index {self.target} out of range")
-        if self.verb is None and self.target is not None:
-            raise ValueError("triplet with null verb must also have null target")
-        # Null sentinels are normalised to None at parse time; reject the
-        # redundant encoding so each action has exactly one representation.
-        if self.verb is not None and self.verb == vocab.null_verb_index:
-            raise ValueError("null verb must be encoded as None, not the sentinel index")
-        if self.target is not None and self.target == vocab.null_target_index:
-            raise ValueError("null target must be encoded as None, not the sentinel index")
-
 
 @dataclass(frozen=True, slots=True)
 class FrameAnnotation:
@@ -67,14 +51,6 @@ class FrameAnnotation:
     frame_index: int
     triplets: tuple[Triplet, ...]
     phase: int
-
-    def validate(self, vocab: Vocabulary) -> None:
-        if self.frame_index < 0:
-            raise ValueError(f"frame index {self.frame_index} is negative")
-        if not 0 <= self.phase < len(vocab.phases):
-            raise ValueError(f"phase index {self.phase} out of range")
-        for triplet in self.triplets:
-            triplet.validate(vocab)
 
 
 @dataclass(frozen=True)

@@ -13,13 +13,14 @@ it goes, then checks the whole table at once (finiteness, duplicate (video,
 frame) keys); it reports the first bad record with its file and line.
 ``rank_keys`` encodes the keys of logits and caption files alike, ranking
 ids in Python's string order, so ``"V"`` and ``"V\\0"`` are two videos.
-Squashing and thresholding work on any array whose last axis is the class
-axis, so the pipeline makes one call of each per table, and
-``threshold_detect`` returns a boolean mask of the same shape. Squashing
-makes one float copy of its input, or takes the array to write into, and
-runs each step in place there. ``write_detections`` turns the columns into
-Python values one block of ``DETECTION_BLOCK_ROWS`` rows at a time, so no
-list of the whole table is built.
+``probabilities_from_logits`` is the only squashing function (the loss and
+``calibration`` call it too). It and ``threshold_detect`` work on any array
+whose last axis is the class axis, so the pipeline makes one call of each
+per table, and ``threshold_detect`` returns a boolean mask of the same
+shape. Squashing makes one float copy of its input, or takes the array to
+write into, and runs each step in place there. ``write_detections`` turns
+the columns into Python values one block of ``DETECTION_BLOCK_ROWS`` rows at
+a time, so no list of the whole table is built.
 
 The annotations the scoring commands join against load into one columnar
 ``AnnotationTable``: rows in (video_id, frame) order, each video's first
@@ -225,28 +226,15 @@ def _sigmoid_in_place(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def _softmax_in_place(z: np.ndarray, axis: int) -> np.ndarray:
-    """exp(z - max) / sum, written over ``z``; the same ufuncs in the same order."""
+def _softmax_in_place(z: np.ndarray) -> np.ndarray:
+    """exp(z - max) / sum over the last axis, written over ``z``; the same ufuncs in the same order."""
     # A shift that overflows (finite logits near +-1e308) goes to -inf, whose
     # exp is exactly 0.0, the limit the softmax tends to.
     with np.errstate(over="ignore"):
-        np.subtract(z, z.max(axis=axis, keepdims=True), out=z)
+        np.subtract(z, z.max(axis=-1, keepdims=True), out=z)
     np.exp(z, out=z)
-    np.divide(z, z.sum(axis=axis, keepdims=True), out=z)
+    np.divide(z, z.sum(axis=-1, keepdims=True), out=z)
     return z
-
-
-def _squashed(z: np.ndarray) -> np.ndarray:
-    """A 0-d result as the numpy scalar the whole-array expression gives."""
-    return z[()] if z.ndim == 0 else z
-
-
-def sigmoid(z: np.ndarray) -> np.ndarray:
-    return _squashed(_sigmoid_in_place(np.array(z, dtype=float)))
-
-
-def softmax(z: np.ndarray, axis: int = -1) -> np.ndarray:
-    return _squashed(_softmax_in_place(np.array(z, dtype=float), axis))
 
 
 def probabilities_from_logits(
@@ -270,8 +258,8 @@ def probabilities_from_logits(
         raise ValueError(f"mode must be 'sigmoid' or 'softmax', got {mode!r}")
     z = np.asarray(logits, dtype=float)
     scaled = np.divide(z, temperature, out=np.empty_like(z) if out is None else out)
-    squash = _sigmoid_in_place(scaled) if mode == "sigmoid" else _softmax_in_place(scaled, -1)
-    return _squashed(squash)
+    squash = _sigmoid_in_place(scaled) if mode == "sigmoid" else _softmax_in_place(scaled)
+    return squash[()] if squash.ndim == 0 else squash  # a 0-d result as a numpy scalar
 
 
 def threshold_detect(
@@ -319,7 +307,7 @@ def weighted_bce(
     w = np.asarray(weights.weights if isinstance(weights, ClassWeights) else weights, dtype=float)
     if not (y.shape == z.shape == w.shape):
         raise ValueError(f"shape mismatch: labels {y.shape}, logits {z.shape}, weights {w.shape}")
-    p = np.clip(sigmoid(z), PROBABILITY_FLOOR, 1.0 - PROBABILITY_FLOOR)
+    p = np.clip(probabilities_from_logits(z), PROBABILITY_FLOOR, 1.0 - PROBABILITY_FLOOR)
     terms = y * np.log(p) + (1.0 - y) * np.log(1.0 - p)
     return float(-(w * terms).sum())
 
@@ -345,10 +333,10 @@ def read_logits(path: str | Path) -> LogitsTable:
     """Load a line-delimited logits file (video_id, frame, 21 floats per record).
 
     The file is read one record at a time: field types, row width and that
-    the logits are numbers are checked as each record is read; then every
-    row at once: finiteness, and that no (video_id, frame) key repeats. The
-    first failing record raises RecordError with the file name and its line
-    number.
+    the logits are JSON numbers (not bools or strings) are checked as each
+    record is read; then every row at once: finiteness, and that no
+    (video_id, frame) key repeats. The first failing record raises
+    RecordError with the file name and its line number.
     """
     source = str(path)
     interned: dict[str, str] = {}  # one str per video id, not one per row
@@ -363,6 +351,8 @@ def read_logits(path: str | Path) -> LogitsTable:
             if len(row) != N_DETECTION_CLASSES:
                 message = f"expected {N_DETECTION_CLASSES} logits, got {len(row)}"
                 raise RecordError(message, source, lineno)
+            if not set(map(type, row)) <= {int, float}:  # a bool or a string is not a logit
+                raise RecordError("logits must be numbers", source, lineno)
             video_id = obj["video_id"]
             ids.append(interned.setdefault(video_id, video_id))
             frames.append(obj["frame"])
@@ -371,7 +361,7 @@ def read_logits(path: str | Path) -> LogitsTable:
     try:
         # Each row is converted as it is read, into one growing float matrix.
         values = np.fromiter(rows(), dtype=np.dtype((float, N_DETECTION_CLASSES)))
-    except (TypeError, ValueError, OverflowError):
+    except OverflowError:  # an integer beyond the float range
         raise RecordError("logits must be numbers", source, lineno) from None
 
     def fail(index: int, message: str) -> RecordError:

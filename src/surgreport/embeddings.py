@@ -5,9 +5,9 @@ from a line-delimited file keyed by a hash of the token sequence:
 
     {"key": "<sha256>", "dim": 64, "vectors": [[...], ...]}
 
-``load`` checks each entry's shape, that its values are finite, that no
-row is zero and that every entry has the first entry's ``dim``. Vectors
-are unit-normalized at lookup, one text at a time.
+``load`` checks each entry's shape, that its values are finite JSON
+numbers, that no row is zero and that every entry has the first entry's
+``dim``. Vectors are unit-normalized at lookup, one text at a time.
 ``deterministic_token_embeddings`` provides a reproducible stand-in
 provider for demos and tests; it is not a contextual encoder.
 """
@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from collections.abc import Sequence
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -96,9 +97,10 @@ class EmbeddingTable:
         # Streamed: only one line's decoded lists are alive at a time.
         table, table_dim = cls(str(path)), None
         for lineno, obj in stream_jsonl(path, _EMBEDDING_FIELDS):
-            key, dim = obj["key"], obj["dim"]
-            try:
-                vectors = np.asarray(obj["vectors"], dtype=float)
+            key, dim, rows = obj["key"], obj["dim"], obj["vectors"]
+            try:  # JSON numbers only: numpy would read true as 1.0 and "1.5" as 1.5
+                numbers = set(map(type, chain.from_iterable(rows))) <= {int, float}
+                vectors = np.asarray(rows, dtype=float) if numbers else np.empty(0)
             except (TypeError, ValueError, OverflowError):
                 vectors = np.empty(0)
             # Zero-norm rows would fail normalization at lookup.

@@ -65,14 +65,6 @@ class Vocabulary:
     def detection_classes(self) -> tuple[str, ...]:
         return self.instruments + self.targets
 
-    @property
-    def null_verb_index(self) -> int | None:
-        return self._lookup["verbs"].get(NULL_VERB_NAME)
-
-    @property
-    def null_target_index(self) -> int | None:
-        return self._lookup["targets"].get(NULL_TARGET_NAME)
-
     def index_of(self, category: str, name: str) -> int:
         """Look up a label name; raises KeyError with the category on miss."""
         try:

@@ -20,6 +20,8 @@ from surgreport.calibration import (
     reliability_bins,
 )
 
+from conftest import traced_peak
+
 
 def test_reliability_bins_single_bin_case():
     bins = reliability_bins(np.array([0.95, 0.95]), np.array([1, 1]), 10)
@@ -321,3 +323,13 @@ def test_fit_temperature_optimum_beyond_range_gives_its_end(search_range):
     # Labels on the top logit of well-separated rows: the NLL falls as T shrinks.
     result = fit_temperature(z * 3.0, z.argmax(axis=1), "softmax", search_range)
     assert result.temperature == search_range[0]
+
+
+def test_sigmoid_fit_peak_is_below_six_and_a_half_logits_matrices():
+    # One float label matrix serves the whole fit, and the likelihood makes one
+    # squashed copy of the logits, not two: 6.0x here, 8.0x with a float label
+    # copy per call and a second copy in the likelihood.
+    rng = np.random.default_rng(3)
+    z = rng.normal(0.0, 3.0, (20_000, 21))
+    labels = rng.random(z.shape) < 1.0 / (1.0 + np.exp(-z / 2.0))
+    assert traced_peak(lambda: fit_temperature(z, labels, "sigmoid")) <= 6.5 * z.nbytes

@@ -25,7 +25,7 @@ from surgreport.captions import (
 )
 from surgreport.dataset import FrameAnnotation, Triplet
 from surgreport.errors import GrammarError, RecordError
-from surgreport.vocab import NULL_VERB_NAME, Vocabulary, default_vocabulary
+from surgreport.vocab import NULL_TARGET_NAME, NULL_VERB_NAME, Vocabulary, default_vocabulary
 from surgreport.windowing import ClipWindow
 
 from conftest import frame, triplet
@@ -239,6 +239,15 @@ def test_parse_grammar_violations(vocab, text, offset_hint):
     assert exc.value.offset <= len(text)
 
 
+def test_parse_refuses_the_null_target_as_a_target(vocab):
+    # The annotation parser reads null_target as no target; a caption names none.
+    text = "First, during the 32-second preparation phase, the grasper holds the null_target."
+    with pytest.raises(GrammarError) as exc:
+        parse_clip_caption(text, vocab)
+    offset = text.index("null_target")
+    assert str(exc.value) == f"offset {offset}: expected a target name"
+
+
 def test_parse_reports_character_offset(vocab):
     text = "First, during the 22-second preparation phase, the drill is present."
     with pytest.raises(GrammarError) as exc:
@@ -322,7 +331,6 @@ def test_frame_caption_grammar_is_total(vocab):
                 target = None if rng.random() < 0.2 else rng.randrange(14)
                 triplets.setdefault(Triplet(instrument, rng.randrange(9), target))
         annotation = FrameAnnotation("V", 0, tuple(triplets), rng.randrange(7))
-        annotation.validate(vocab)
         text = synthesize_frame_caption(annotation, vocab).text
         assert text.startswith("During phase ")
         assert len(text) > len("During phase ")
@@ -355,7 +363,8 @@ def test_read_clip_captions_raises_at_the_line_of_a_bad_caption(tmp_path, vocab)
 
 
 # The cursor parser that read every caption before the grammar was compiled,
-# kept verbatim (only its entry point renamed) as the oracle of the new one.
+# kept as the oracle of the new one. Two edits: its entry point is renamed,
+# and its target table leaves out the null target, as the grammar's does.
 _NAME_CHARS = set("abcdefghijklmnopqrstuvwxyz0123456789_-")
 
 
@@ -367,7 +376,7 @@ class _ClipCaptionParser:
         self.pos = 0
         self.vocab = vocab
         self.instruments = self._by_length(vocab.instruments)
-        self.targets = self._by_length(vocab.targets)
+        self.targets = [t for t in self._by_length(vocab.targets) if t[0] != NULL_TARGET_NAME]
         self.phases = self._by_length(vocab.phases)
         self.present_verbs = self._verb_map("present")
         self.base_verbs = self._verb_map("base")

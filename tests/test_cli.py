@@ -75,6 +75,27 @@ def test_preprocess_counts_match_corpus(workspace, vocab, caplog):
     assert len(manifest["config_sha256"]) == 64
 
 
+def test_preprocess_names_the_videos_too_short_for_a_clip(tmp_path, vocab, caplog):
+    short = [
+        VideoRecord(v, tuple(frame(vocab, v, i, "preparation") for i in range(n)))
+        for v, n in (("SHORT", 20), ("EDGE", 31))
+    ]
+    annotations = tmp_path / "annotations.jsonl"
+    write_annotations(annotations, [*make_corpus(vocab, 3, 64, seed=3), *short], vocab)
+    out = tmp_path / "out"
+    config = write_config(
+        tmp_path / "config.yaml", paths={"annotations": str(annotations), "output_dir": str(out)}
+    )
+    with caplog.at_level(logging.INFO, logger="surgreport.cli"):
+        assert main(["preprocess", "--config", config]) == 0
+    warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+    assert warnings == [
+        "preprocess: no clip, so no report, for videos shorter than windowing.size: "
+        "['SHORT', 'EDGE']"
+    ]
+    assert len(read_jsonl(out / "clip_manifest.jsonl")) == 3 * 3
+
+
 def test_preprocess_empty_annotation_dir_fails(tmp_path, capsys):
     empty = tmp_path / "empty"
     empty.mkdir()
@@ -1000,6 +1021,30 @@ def test_declared_dependencies_are_the_third_party_imports():
     assert {distributions.get(name, name) for name in third_party} == names
 
 
+def test_the_package_imports_no_name_it_does_not_use():
+    root = Path(__file__).resolve().parents[1]
+    unused = set()
+    for path in sorted((root / "src" / "surgreport").glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        tree = ast.parse(source)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        lines = source.splitlines()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import | ast.ImportFrom) and getattr(node, "module", "") != "__future__":
+                # A name bound for bench/tracer.py to patch carries the comment on its line.
+                exempt = lines[node.lineno - 1].endswith("# noqa: F401")
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in used:
+                        unused.add((path.stem, name, exempt))
+    assert unused == {
+        ("captions", "read_jsonl", True),
+        ("cli", "split_dataset", True),
+        ("detection", "read_jsonl", True),
+        ("embeddings", "read_jsonl", True),
+    }
+
+
 # Line 3 of each record file is replaced by the bad record. Clip captions are
 # parsed against the grammar only by `report`; `evaluate` reads the others.
 # (file, command, bad record, message)
@@ -1111,6 +1156,16 @@ BAD_RECORDS = {
         '{"key": "x", "dim": 32, "vectors": [[1.0, 0.0]]}',
         "embedding entry x: vectors must be nonzero rows of 32 numbers",
     ),
+    **{
+        f"embeddings-{name}": (
+            "embeddings", "evaluate",
+            '{"key": "x", "dim": 2, "vectors": [[1.0, 0.0], %s]}' % row,
+            "embedding entry x: vectors must be nonzero rows of 2 numbers",
+        )
+        for name, row in [
+            ("bool", "[true, 0.0]"), ("string", '["1.5", 0.0]'), ("ragged", "[1.0]"), ("number-row", "5"),
+        ]
+    },
     "embeddings-zero-norm": (
         "embeddings", "evaluate",
         '{"key": "x", "dim": 2, "vectors": [[1.0, 0.0], [0.0, 0.0]]}',
@@ -1402,6 +1457,18 @@ CONFIG_PROBES = {
                        "paths.output_dir must be a string, got 5"),
     "offline-string": ("report", {"report": {"offline": "false"}}, [],
                        "report.offline must be true or false, got 'false'"),
+    # Every command loads the whole config, so preprocess refuses it too.
+    **{
+        f"offline-false-{name}": (
+            command, {"report": {"offline": False, **report}}, [],
+            "report.endpoint must be an endpoint section, or null when offline is true, got None",
+        )
+        for name, command, report in [
+            ("without-endpoint", "preprocess", {}),
+            ("without-endpoint-report", "report", {}),
+            ("empty-endpoint", "report", {"endpoint": {}}),
+        ]
+    },
     "parallelism-0": ("report", _endpoint(parallelism=0), [],
                       "report.endpoint.parallelism must be an integer >= 1, got 0"),
     "timeout-string": ("report", _endpoint(timeout="x"), [],

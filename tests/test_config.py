@@ -117,7 +117,10 @@ def test_a_null_or_empty_section_keeps_its_default(empty):
             "timeout must be a finite number > 0",
         ),
         (lambda: PipelineConfig(split={"seed": 1}), "split must be SplitConfig, got {'seed': 1}"),
-        (lambda: ReportSettings(endpoint={}), "endpoint must be EndpointConfig or null, got {}"),
+        (
+            lambda: ReportSettings(endpoint={}),
+            "endpoint must be an endpoint section, or null when offline is true, got {}",
+        ),
     ],
 )
 def test_constructing_a_section_checks_its_fields(build, message):

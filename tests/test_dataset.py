@@ -98,11 +98,6 @@ def test_parse_synthetic_corpus_counts(vocab):
     assert parsed == records
 
 
-def test_triplet_rejects_sentinel_indices(vocab):
-    with pytest.raises(ValueError, match="sentinel"):
-        Triplet(0, vocab.null_verb_index, None).validate(vocab)
-
-
 def test_video_record_requires_contiguity(vocab):
     frames = (frame(vocab, "V", 0, "preparation"), frame(vocab, "V", 2, "preparation"))
     with pytest.raises(ValueError, match="contiguous"):

@@ -23,8 +23,6 @@ from surgreport.detection import (
     probabilities_from_logits,
     rank_keys,
     read_logits,
-    sigmoid,
-    softmax,
     threshold_detect,
     truth_bits,
     unpatchify,
@@ -138,11 +136,11 @@ def _sigmoid_oracle(z):
         return 1.0 / (1.0 + np.exp(-np.asarray(z, dtype=float)))
 
 
-def _softmax_oracle(z, axis=-1):
+def _softmax_oracle(z):
     z = np.asarray(z, dtype=float)
-    shifted = z - z.max(axis=axis, keepdims=True)
+    shifted = z - z.max(axis=-1, keepdims=True)
     exp = np.exp(shifted)
-    return exp / exp.sum(axis=axis, keepdims=True)
+    return exp / exp.sum(axis=-1, keepdims=True)
 
 
 def _probabilities_oracle(logits, mode, temperature):
@@ -176,9 +174,6 @@ def test_in_place_squash_is_bitwise_equal_to_the_whole_array_expressions(
         probabilities_from_logits(logits, mode, temperature),
         _probabilities_oracle(logits, mode, temperature),
     )
-    assert _same_bits(sigmoid(logits), _sigmoid_oracle(logits))
-    assert _same_bits(softmax(logits), _softmax_oracle(logits))
-    assert _same_bits(softmax(logits, axis=0), _softmax_oracle(logits, axis=0))
     assert logits.tobytes() == before.tobytes()
 
 
@@ -189,7 +184,6 @@ def test_sigmoid_takes_scalars_0d_arrays_and_lists(value):
             probabilities_from_logits(value, "sigmoid", temperature),
             _probabilities_oracle(value, "sigmoid", temperature),
         )
-    assert _same_bits(sigmoid(value), _sigmoid_oracle(value))
 
 
 @pytest.mark.parametrize("value", [[0.3, -4.0, 12.0], [[1.0, 2.0], [3.0, -1.0]]])
@@ -199,7 +193,6 @@ def test_softmax_takes_lists(value):
             probabilities_from_logits(value, "softmax", temperature),
             _probabilities_oracle(value, "softmax", temperature),
         )
-    assert _same_bits(softmax(value), _softmax_oracle(value))
 
 
 def test_softmax_shift_overflow_is_silent_and_exact():
@@ -369,7 +362,6 @@ def test_matrix_squash_is_bitwise_equal_to_per_row(mode):
         matrix = probabilities_from_logits(logits, mode, temperature)
         rows = np.array([probabilities_from_logits(z, mode, temperature) for z in logits])
         assert matrix.tobytes() == rows.tobytes()
-    assert np.array_equal(softmax(logits), np.array([softmax(z) for z in logits]))
 
 
 def test_logits_table_select_and_keys(tmp_path):
@@ -397,6 +389,9 @@ GOOD_ROW = '{"video_id": "V", "frame": %d, "logits": [%s]}' % (0, ", ".join(["0.
         ('{"video_id": "V", "frame": 0, "logits": [%s]}' % ", ".join(["1"] * 21), "duplicate logits row for V@0"),
         ('{"video_id": "V", "frame": 7, "logits": [%s]}' % ", ".join(['"x"'] * 21), "logits must be numbers"),
         ('{"video_id": "V", "frame": 7, "logits": [%s]}' % ", ".join(["[1]"] * 21), "logits must be numbers"),
+        ('{"video_id": "V", "frame": 7, "logits": [true%s]}' % (", 0" * 20), "logits must be numbers"),
+        ('{"video_id": "V", "frame": 7, "logits": ["1.5"%s]}' % (", 0" * 20), "logits must be numbers"),
+        ('{"video_id": "V", "frame": 7, "logits": [%d%s]}' % (10**400, ", 0" * 20), "logits must be numbers"),
         ('{"video_id": "V", "frame": -1, "logits": [%s]}' % ", ".join(["1"] * 21), "nonnegative integer"),
         ('{"video_id": "V", "frame": 2.0, "logits": []}', "nonnegative integer"),
         ('{"video_id": "V", "frame": %d, "logits": [%s]}' % (10**30, ", ".join(["1"] * 21)), "nonnegative integer"),
@@ -455,11 +450,9 @@ def guard_logits():
     "squash, bound",
     [
         (lambda z: probabilities_from_logits(z, "sigmoid"), 1.1),
-        (sigmoid, 1.1),
         (lambda z: probabilities_from_logits(z, "softmax", 2.0), 2.1),
-        (softmax, 2.1),
     ],
-    ids=["sigmoid-mode", "sigmoid", "softmax-mode", "softmax"],
+    ids=["sigmoid-mode", "softmax-mode"],
 )
 def test_squash_peak_is_one_copy_of_the_matrix(guard_logits, squash, bound):
     assert traced_peak(lambda: squash(guard_logits)) <= bound * guard_logits.nbytes

@@ -4,7 +4,13 @@ import pytest
 import yaml
 
 from surgreport.errors import ConfigError, SurgReportError
-from surgreport.vocab import Vocabulary, default_vocabulary, load_vocabulary
+from surgreport.vocab import (
+    NULL_TARGET_NAME,
+    NULL_VERB_NAME,
+    Vocabulary,
+    default_vocabulary,
+    load_vocabulary,
+)
 
 
 def test_default_vocabulary_sizes(vocab):
@@ -20,9 +26,10 @@ def test_default_vocabulary_is_cached():
     assert default_vocabulary() is default_vocabulary()
 
 
-def test_null_sentinel_indices(vocab):
-    assert vocab.verbs[vocab.null_verb_index] == "null_verb"
-    assert vocab.targets[vocab.null_target_index] == "null_target"
+def test_null_sentinel_names(vocab):
+    # The annotation parser reads these names as an absent verb or target.
+    assert NULL_VERB_NAME in vocab.verbs
+    assert NULL_TARGET_NAME in vocab.targets
 
 
 def test_index_of_unknown_name(vocab):
