@@ -9,7 +9,8 @@ are preserved while overconfidence is smoothed out. The fit works on
 beta = 1/T, where the unclipped mean NLL is convex (a log-sum-exp or a sum
 of softplus terms of beta * z, minus a linear term), so Newton steps on its
 slope reach the exact minimum (Guo et al., ICML 2017, "On Calibration of
-Modern Neural Networks").
+Modern Neural Networks"). ``nll``, ``confidence_correctness`` and the fit take
+one label (a class index or a 0/1 row) per logit row, checked in one place.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detection import PROBABILITY_FLOOR, probabilities_from_logits
+from .detection import bernoulli_log_likelihood, probabilities_from_logits
 
 DEFAULT_BIN_COUNT = 10
 DEFAULT_SEARCH_RANGE = (0.05, 20.0)
@@ -98,16 +99,22 @@ def ece(bins: ReliabilityBins) -> float:
     return float(sum((count / n) * abs(acc - conf) for count, conf, acc in rows))
 
 
-def _as_bitmatrix(labels: np.ndarray, n_classes: int) -> np.ndarray:
-    """Accept class indices or 0/1 label matrices; return an (n, K) float matrix, a float one as is."""
+def _logits_and_bits(logits: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Logits as an (n >= 1, K) float matrix, labels (indices or 0/1 rows) as its float bits."""
+    z = np.atleast_2d(np.asarray(logits, dtype=float))
     arr = np.asarray(labels)
     if arr.ndim == 1:
-        bits = np.zeros((arr.shape[0], n_classes))
+        bits = np.zeros((arr.shape[0], z.shape[1]))
         bits[np.arange(arr.shape[0]), arr.astype(int)] = 1.0
-        return bits
-    if arr.ndim == 2 and arr.shape[1] == n_classes:
-        return np.asarray(arr, dtype=float)
-    raise ValueError(f"labels must be indices or (n, {n_classes}) bit-vectors, got shape {arr.shape}")
+    elif arr.ndim == 2 and arr.shape[1] == z.shape[1]:
+        bits = np.asarray(arr, dtype=float)
+    else:
+        raise ValueError(f"labels must be indices or (n, {z.shape[1]}) bit-vectors, got shape {arr.shape}")
+    if len(bits) != len(z):
+        raise ValueError(f"got {len(z)} logit rows but {len(bits)} label rows")
+    if not len(z):
+        raise ValueError("cannot calibrate on an empty set of logits")
+    return z, bits
 
 
 def nll(
@@ -125,20 +132,14 @@ def nll(
     """
     if temperature <= 0:
         raise ValueError(f"temperature must be positive, got {temperature}")
-    z = np.atleast_2d(np.asarray(logits, dtype=float))
-    if z.shape[0] == 0:
-        raise ValueError("cannot evaluate likelihood on an empty set")
-    bits = _as_bitmatrix(labels, z.shape[1])
-    if bits.shape[0] != z.shape[0]:
-        raise ValueError(f"got {z.shape[0]} logit rows but {bits.shape[0]} label rows")
+    z, bits = _logits_and_bits(logits, labels)
     if mode == "softmax":
         scaled = z / temperature
         shift = scaled.max(axis=1, keepdims=True)
         log_probs = scaled - shift - np.log(np.exp(scaled - shift).sum(axis=1, keepdims=True))
         per_sample = -(bits * log_probs).sum(axis=1)
     elif mode == "sigmoid":
-        p = np.clip(probabilities_from_logits(z, mode, temperature), PROBABILITY_FLOOR, 1 - PROBABILITY_FLOOR)
-        per_sample = -(bits * np.log(p) + (1.0 - bits) * np.log(1.0 - p)).sum(axis=1)
+        per_sample = -bernoulli_log_likelihood(bits, z, temperature).sum(axis=1)
     else:
         raise ValueError(f"mode must be 'softmax' or 'sigmoid', got {mode!r}")
     return float(per_sample.mean())
@@ -154,8 +155,7 @@ def confidence_correctness(
     that class's label bit, flattened over classes, which matches the
     multi-label detection setting.
     """
-    z = np.atleast_2d(np.asarray(logits, dtype=float))
-    bits = _as_bitmatrix(labels, z.shape[1])
+    z, bits = _logits_and_bits(logits, labels)
     probs = probabilities_from_logits(z, mode, temperature)
     if mode == "sigmoid":
         return probs.ravel(), bits.ravel()
@@ -195,10 +195,7 @@ def fit_temperature(
     t_lo, t_hi = search_range
     if not 0 < t_lo < t_hi:
         raise ValueError(f"search range must satisfy 0 < lo < hi, got {search_range}")
-    z = np.atleast_2d(np.asarray(logits, dtype=float))
-    if z.shape[0] == 0:
-        raise ValueError("cannot calibrate on an empty validation set")
-    bits = _as_bitmatrix(labels, z.shape[1])
+    z, bits = _logits_and_bits(logits, labels)
     if np.all(bits == bits[0]):
         warnings.warn(
             "validation labels are constant; the fitted temperature is unreliable",

@@ -66,9 +66,8 @@ VERB_FORMS: dict[str, VerbForms] = {
 
 NO_INSTRUMENT_CLAUSE = "no instrument is active"
 
-# The characters a name may not be followed by; ``_name_slot`` writes the
-# same set as the class [a-z0-9_\-].
-_NAME_CHARS = set("abcdefghijklmnopqrstuvwxyz0123456789_-")
+_NAME_CHARS = frozenset("abcdefghijklmnopqrstuvwxyz0123456789_-")  # what may not follow a name
+_NAME_END = f"(?![{re.escape(''.join(sorted(_NAME_CHARS)))}])"
 _DIGITS = re.compile("[0-9]*")
 
 
@@ -203,7 +202,7 @@ def _name_slot(group: str, names: list[tuple[str, int]]) -> str:
     Lookahead then backreference makes the choice atomic, as ``take_name``'s
     is: a later mismatch never backtracks into a shorter name.
     """
-    alternation = "|".join(f"{re.escape(name)}(?![a-z0-9_\\-])" for name, _ in names)
+    alternation = "|".join(f"{re.escape(name)}{_NAME_END}" for name, _ in names)
     # No names: a slot that matches nothing, as ``take_name`` on an empty table.
     alternation = alternation or "(?!)"
     return f"(?=(?P<{group}>{alternation}))(?P={group})"

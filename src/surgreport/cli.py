@@ -25,10 +25,10 @@ id's rank among the sorted distinct ids, and the frame. Caption files are
 paired by sorting each side's keys, not through dicts keyed by (video_id,
 frame) tuples.
 
-``report`` runs one job per video (in order offline, in the endpoint's
-thread pool otherwise): it merges the clips, renders the timeline text once
-and writes the offline report, then the endpoint report from the same text.
-After the first endpoint failure, the jobs left write offline reports only.
+``report`` runs one job per video in one thread pool, of one worker offline
+and ``endpoint.parallelism`` otherwise: it merges the clips, renders the
+timeline text once and writes the offline report, then the endpoint report.
+Every job runs; the first failure in video order is the error.
 """
 
 from __future__ import annotations
@@ -126,10 +126,10 @@ def _make_output_dir(config: PipelineConfig) -> Path:
     return out
 
 
-def _check_videos(videos: list[str], known) -> None:
+def _check_videos(videos: list[str], known, note: str = "") -> None:
     missing = [v for v in videos if v not in known]
     if missing:
-        raise ConfigError(f"unknown video ids: {missing}")
+        raise ConfigError(f"unknown video ids: {missing}{note}")
 
 
 def _load_records(config: PipelineConfig, videos: list[str] | None):
@@ -408,7 +408,8 @@ def cmd_report(config: PipelineConfig, videos: list[str] | None) -> list[Path]:
             continue
         raise RecordError(problem, str(clip_path), record_line(clip_path, index))
     if videos:
-        _check_videos(videos, by_video)
+        size = config.windowing.size
+        _check_videos(videos, by_video, f" (no clip captions; a video shorter than windowing.size {size} gets none)")
     selected = {v: by_video[v] for v in videos} if videos else by_video
 
     report_dir = config.output_dir() / "reports"
@@ -428,12 +429,9 @@ def cmd_report(config: PipelineConfig, videos: list[str] | None) -> list[Path]:
             paths.append(write_report(report_dir, generated, text, ".llm"))
         return paths
 
-    if endpoint is None:
-        reports = [report(selected[v]) for v in sorted(selected)]
-    else:
-        with ThreadPoolExecutor(max_workers=endpoint.parallelism) as pool:
-            futures = [pool.submit(report, selected[v]) for v in sorted(selected)]
-        reports = [future.result() for future in futures]  # every offline report is on disk by now
+    with ThreadPoolExecutor(max_workers=1 if endpoint is None else endpoint.parallelism) as pool:
+        futures = [pool.submit(report, selected[v]) for v in sorted(selected)]
+    reports = [future.result() for future in futures]  # every job has run; the first failure is raised
     return [path for kind in zip(*reports) for path in kind]  # offline paths, then endpoint paths
 
 

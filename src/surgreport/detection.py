@@ -13,8 +13,9 @@ it goes, then checks the whole table at once (finiteness, duplicate (video,
 frame) keys); it reports the first bad record with its file and line.
 ``rank_keys`` encodes the keys of logits and caption files alike, ranking
 ids in Python's string order, so ``"V"`` and ``"V\\0"`` are two videos.
-``probabilities_from_logits`` is the only squashing function (the loss and
-``calibration`` call it too). It and ``threshold_detect`` work on any array
+``probabilities_from_logits`` is the only squashing function, and
+``bernoulli_log_likelihood`` the only clamped likelihood (the loss's and
+``calibration.nll``'s). Squashing and ``threshold_detect`` work on any array
 whose last axis is the class axis, so the pipeline makes one call of each
 per table, and ``threshold_detect`` returns a boolean mask of the same
 shape. Squashing makes one float copy of its input, or takes the array to
@@ -42,9 +43,9 @@ from .dataset import FrameAnnotation, VideoRecord, by_video_id
 from .errors import RecordError
 # ``read_jsonl`` is unused here; bench/tracer.py patches it in this module by name.
 from .jsonl import read_jsonl, record_line, stream_jsonl, write_jsonl  # noqa: F401
-from .vocab import Vocabulary
+from .vocab import N_INSTRUMENTS, N_TARGETS, Vocabulary
 
-N_DETECTION_CLASSES = 21
+N_DETECTION_CLASSES = N_INSTRUMENTS + N_TARGETS
 
 # Keeps log() finite in the cross-entropy and likelihood computations.
 PROBABILITY_FLOOR = 1e-12
@@ -75,9 +76,6 @@ class PatchSequence:
 
     def __len__(self) -> int:
         return len(self.vectors)
-
-    def __iter__(self):
-        return ((pos, vec) for pos, vec in zip(self.positions, self.vectors))
 
 
 @dataclass(frozen=True)
@@ -299,17 +297,22 @@ def weighted_bce(
 ) -> float:
     """Class-weighted binary cross-entropy of logits against 0/1 labels.
 
-    -sum_i w_i * (y_i * log sigmoid(z_i) + (1 - y_i) * log(1 - sigmoid(z_i)))
-    with probabilities clamped away from 0 and 1 to keep the logs finite.
+    -sum_i w_i * (y_i log p_i + (1 - y_i) log(1 - p_i)), p = sigmoid(z) clamped.
     """
     y = np.asarray(labels, dtype=float)
     z = np.asarray(logits, dtype=float)
     w = np.asarray(weights.weights if isinstance(weights, ClassWeights) else weights, dtype=float)
     if not (y.shape == z.shape == w.shape):
         raise ValueError(f"shape mismatch: labels {y.shape}, logits {z.shape}, weights {w.shape}")
-    p = np.clip(probabilities_from_logits(z), PROBABILITY_FLOOR, 1.0 - PROBABILITY_FLOOR)
-    terms = y * np.log(p) + (1.0 - y) * np.log(1.0 - p)
-    return float(-(w * terms).sum())
+    return float(-(w * bernoulli_log_likelihood(y, z)).sum())
+
+
+def bernoulli_log_likelihood(labels: np.ndarray, logits: np.ndarray, temperature: float = 1.0) -> np.ndarray:
+    """Per element, y log p + (1 - y) log(1 - p) for p = sigmoid(z / T) clamped
+    to [PROBABILITY_FLOOR, 1 - PROBABILITY_FLOOR], so both logs are finite."""
+    p = probabilities_from_logits(logits, "sigmoid", temperature)
+    p = np.clip(p, PROBABILITY_FLOOR, 1.0 - PROBABILITY_FLOOR)
+    return labels * np.log(p) + (1.0 - labels) * np.log(1.0 - p)
 
 
 def truth_bits(frame: FrameAnnotation, vocab: Vocabulary) -> np.ndarray:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from itertools import chain, groupby
 from pathlib import Path
 
-from .captions import ClipCaption, verb_forms
+from .captions import ClipCaption, _target_part, verb_forms
 from .config import EndpointConfig
 from .dataset import Triplet
 from .errors import EndpointStatusError, MissingCredentialError, TransportError
@@ -157,10 +157,7 @@ def render_prompt(clips: list[ClipCaption]) -> PromptRequest:
 
 def _past_clause(action: Triplet, vocab: Vocabulary) -> str:
     instrument = vocab.instruments[action.instrument]
-    clause = f"the {instrument} {verb_forms(action.verb, vocab).past}"
-    if action.target is not None:
-        clause += f" the {vocab.targets[action.target]}"
-    return clause
+    return f"the {instrument} {verb_forms(action.verb, vocab).past}" + _target_part(action, vocab)
 
 
 def _join_clauses(clauses: list[str]) -> str:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -18,6 +19,9 @@ from surgreport.calibration import (
     fit_temperature,
     nll,
     reliability_bins,
+)
+from surgreport.detection import (
+    PROBABILITY_FLOOR, bernoulli_log_likelihood, probabilities_from_logits, weighted_bce,
 )
 
 from conftest import traced_peak
@@ -333,3 +337,55 @@ def test_sigmoid_fit_peak_is_below_six_and_a_half_logits_matrices():
     z = rng.normal(0.0, 3.0, (20_000, 21))
     labels = rng.random(z.shape) < 1.0 / (1.0 + np.exp(-z / 2.0))
     assert traced_peak(lambda: fit_temperature(z, labels, "sigmoid")) <= 6.5 * z.nbytes
+
+
+@pytest.mark.parametrize("mode", ["softmax", "sigmoid"])
+@pytest.mark.parametrize("as_indices", [False, True])
+def test_calibration_refuses_logits_and_labels_of_different_row_counts(mode, as_indices):
+    rng = np.random.default_rng(8)
+    z, bits = rng.normal(size=(5, 3)), (rng.random((7, 3)) < 0.5).astype(float)
+    labels = bits.argmax(axis=1) if as_indices else bits
+    for call in (
+        lambda: confidence_correctness(z, labels, 1.0, mode),
+        lambda: nll(z, labels, 1.0, mode),
+    ):
+        with pytest.raises(ValueError, match=r"^got 5 logit rows but 7 label rows$"):
+            call()
+
+
+def test_fit_temperature_refuses_one_label_row_before_any_warning():
+    z, labels = _sampled_softmax_data(n=50, seed=9)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the constant-labels warning must not come first
+        with pytest.raises(ValueError, match=r"^got 50 logit rows but 1 label rows$"):
+            fit_temperature(z, labels[:1])
+
+
+def _inline_weighted_bce(y, z, w):
+    """The loss as it was written before it shared ``bernoulli_log_likelihood``."""
+    p = np.clip(probabilities_from_logits(z), PROBABILITY_FLOOR, 1.0 - PROBABILITY_FLOOR)
+    terms = y * np.log(p) + (1.0 - y) * np.log(1.0 - p)
+    return float(-(w * terms).sum())
+
+
+def _inline_sigmoid_terms(z, bits, temperature):
+    """Sigmoid ``nll``'s terms as it wrote them before it shared ``bernoulli_log_likelihood``."""
+    p = np.clip(probabilities_from_logits(z, "sigmoid", temperature), PROBABILITY_FLOOR, 1 - PROBABILITY_FLOOR)
+    return bits * np.log(p) + (1.0 - bits) * np.log(1.0 - p)
+
+
+@pytest.mark.parametrize("saturation", [None, 40.0, 1e308])
+def test_shared_bernoulli_terms_are_bitwise_the_inline_expressions(saturation):
+    rng = np.random.default_rng(10)
+    z = rng.normal(0.0, 2.0, (64, 21))
+    if saturation is not None:  # every logit at +saturation or -saturation
+        z = np.copysign(saturation, z)
+    bits = (rng.random(z.shape) < 0.3).astype(float)
+    w = rng.random(z.shape)
+    with np.errstate(over="ignore"):  # +-1e308 / T overflows to +-inf for T < 1
+        for t in (1.0, 0.5, 3.0):
+            terms = _inline_sigmoid_terms(z, bits, t)
+            assert bernoulli_log_likelihood(bits, z, t).tobytes() == terms.tobytes()
+            assert nll(z, bits, t, "sigmoid") == float((-terms.sum(axis=1)).mean())
+        assert weighted_bce(bits, z, w) == _inline_weighted_bce(bits, z, w)
+        assert weighted_bce(bits[0], z[0], w[0]) == _inline_weighted_bce(bits[0], z[0], w[0])

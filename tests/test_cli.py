@@ -749,6 +749,39 @@ def test_report_file_errors_end_in_one_error_line(workspace, capsys):
     assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: '{clip_path}'\n"
 
 
+def test_an_offline_report_writes_every_video_after_the_first_fails(workspace, capsys):
+    tmp_path, records, annotations, out, config = workspace
+    assert main(["preprocess", "--config", config]) == 0
+    clip_path = out / "clip_captions.jsonl"
+    long_id = "A" * 300  # sorts before VID02, so its job is the first, and too long a file name
+    clip_path.write_text(clip_path.read_text().replace('"VID01"', f'"{long_id}"'))
+    capsys.readouterr()
+    assert main(["report", "--config", config]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: [Errno ") and "File name too long" in err
+    assert err.count("\n") == 1
+    assert f"'{out / 'reports' / long_id}.txt'" in err
+    assert sorted(p.name for p in (out / "reports").iterdir()) == ["VID02.timeline.json", "VID02.txt"]
+
+
+def test_report_names_why_a_short_video_has_no_clip_captions(tmp_path, vocab, capsys):
+    short = VideoRecord("SHORT", tuple(frame(vocab, "SHORT", i, "preparation") for i in range(20)))
+    annotations = tmp_path / "annotations.jsonl"
+    write_annotations(annotations, [*make_corpus(vocab, 3, 64, seed=3), short], vocab)
+    out = tmp_path / "out"
+    config = write_config(
+        tmp_path / "config.yaml", paths={"annotations": str(annotations), "output_dir": str(out)}
+    )
+    assert main(["preprocess", "--config", config]) == 0
+    capsys.readouterr()
+    assert main(["report", "--config", config, "--videos", "SHORT"]) == 1
+    assert capsys.readouterr().err == (
+        "error: unknown video ids: ['SHORT'] "
+        "(no clip captions; a video shorter than windowing.size 32 gets none)\n"
+    )
+    assert not (out / "reports").exists()
+
+
 def test_report_file_errors_with_an_endpoint_end_in_one_error_line(workspace, monkeypatch, capsys):
     tmp_path, records, annotations, out, config = workspace
     assert main(["preprocess", "--config", config]) == 0
