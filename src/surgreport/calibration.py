@@ -166,21 +166,39 @@ def confidence_correctness(
 def _nll_slope(z: np.ndarray, bits: np.ndarray, beta: float, mode: str) -> tuple[float, float]:
     """Slope and curvature in beta = 1/T of the unclipped mean NLL. Summed per
     logit: sigmoid (s - y) z and s (1 - s) z^2, s = sigmoid(beta z); softmax
-    (n p - y) z and n p (z - E_p[z])^2, p = softmax(beta z), n = sum(y)."""
+    (n p - y) z and n p (z - E_p[z])^2, p = softmax(beta z), n = sum(y).
+
+    Each sum's terms are made in place in one work matrix, by the ufuncs of
+    those expressions in their order, so the sums are those of the expressions.
+    """
     p = probabilities_from_logits(z, mode, 1.0 / beta)
+    terms = np.empty_like(p)
     if mode == "sigmoid":
-        slope, curvature = (p - bits) * z, p * (1.0 - p) * z * z
+        np.subtract(p, bits, out=terms)
+        np.multiply(terms, z, out=terms)
+        slope = float(terms.sum())
+        np.subtract(1.0, p, out=terms)
+        np.multiply(p, terms, out=terms)
+        np.multiply(terms, z, out=terms)
+        np.multiply(terms, z, out=terms)
     else:
         positives = bits.sum(axis=1, keepdims=True)
-        centred = z - (p * z).sum(axis=1, keepdims=True)
-        slope, curvature = (positives * p - bits) * z, positives * p * centred**2
-    return float(slope.sum()) / len(z), float(curvature.sum()) / len(z)
+        mean = np.multiply(p, z, out=terms).sum(axis=1, keepdims=True)
+        np.multiply(positives, p, out=terms)
+        np.subtract(terms, bits, out=terms)
+        np.multiply(terms, z, out=terms)
+        slope = float(terms.sum())
+        np.subtract(z, mean, out=terms)
+        np.square(terms, out=terms)
+        np.multiply(positives, p, out=p)
+        np.multiply(p, terms, out=terms)
+    return slope / len(z), float(terms.sum()) / len(z)
 
 
 def fit_temperature(
     logits: np.ndarray,
     labels: np.ndarray,
-    mode: str = "softmax",
+    mode: str = "sigmoid",
     search_range: tuple[float, float] = DEFAULT_SEARCH_RANGE,
     bin_count: int = DEFAULT_BIN_COUNT,
 ) -> CalibrationResult:

@@ -9,21 +9,32 @@ can be overridden with flags (flag > config > default). Outputs are
 deterministic: rerunning a command on unchanged inputs produces
 byte-identical files.
 
-``preprocess`` and ``report`` do not load numpy. The names that only
-``detect``, ``calibrate`` and ``evaluate`` use (numpy and the calibration,
-detection, embeddings and metrics functions) are listed in ``_DEFERRED``:
-each is imported and bound on first use, and those three commands bind them
-all first with ``_bind_deferred``. No command loads OpenSSL for its own
-hashing (``digest.sha256`` is CPython's built-in SHA-256); only ``report``
-with an endpoint loads it, through the HTTP stack's ``ssl``.
+Each command loads only the modules it runs. Every name that only some
+commands use is listed in ``_DEFERRED`` (name -> module), imported on first
+use, and bound here by the command with ``_bind`` before its functions look
+it up:
 
-``calibrate`` and ``evaluate`` join the annotations with the logits, and
-the split with both, through one ``AnnotationTable``: rows in (video_id,
-frame) order, so the split is a label per row and a logits row finds its
-truth row by offset. Keys have one encoding, from ``rank_keys``: a video
-id's rank among the sorted distinct ids, and the frame. Caption files are
-paired by sorting each side's keys, not through dicts keyed by (video_id,
-frame) tuples.
+- ``preprocess``: ``captions`` and ``windowing``;
+- ``detect``: numpy and ``detection``;
+- ``calibrate``: numpy, ``detection`` and ``calibration``;
+- ``evaluate``: numpy, ``detection``, ``metrics`` and ``embeddings``, and
+  ``captions`` only when a caption scope is configured;
+- ``report``: ``captions``, ``report``, ``threading`` and
+  ``concurrent.futures``.
+
+So ``preprocess`` and ``report`` load no numpy. No command loads OpenSSL
+for its own hashing (``digest.sha256`` is CPython's built-in SHA-256); only
+``report`` with an endpoint loads it, through the HTTP stack's ``ssl``.
+
+``calibrate`` and ``evaluate`` read the annotations straight into one
+``AnnotationTable`` (``AnnotationTable.read``; no ``FrameAnnotation`` is
+made) and join it with the logits, and the split with both: rows in
+(video_id, frame) order, so the split is a label per row (``split_labels``
+takes the per-video frame counts) and a logits row finds its truth row by
+offset; ``calibrate --videos`` keeps the named videos' row ranges. Keys
+have one encoding, from ``rank_keys``: a video id's rank among the sorted
+distinct ids, and the frame. Caption files are paired by sorting each
+side's keys, not through dicts keyed by (video_id, frame) tuples.
 
 ``report`` runs one job per video in one thread pool, of one worker offline
 and ``endpoint.parallelism`` otherwise: it merges the clips, renders the
@@ -38,44 +49,38 @@ import importlib
 import json
 import logging
 import sys
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from operator import attrgetter
 from pathlib import Path
 
 from . import __version__
-from .captions import (
-    read_clip_captions,
-    read_frame_captions,
-    synthesize_clip_caption,
-    synthesize_frame_caption,
-    write_clip_captions,
-    write_frame_captions,
-)
 from .config import PipelineConfig, config_hash, load_config, validate_paths
 # ``split_dataset`` is unused here; bench/tracer.py patches it in this module by name.
 from .dataset import load_annotations, phase_duration_table, split_dataset, split_labels  # noqa: F401
 from .errors import ConfigError, EndpointError, RecordError, SurgReportError
 from .jsonl import record_line, write_jsonl, write_text
-from .report import (
-    llm_generate, merge_timeline, offline_report, render_prompt, render_timeline, write_report,
-)
-from .windowing import window_video, write_clip_manifest
 
-# Name -> the module it comes from, for the names that load numpy. ``truth_bits``
-# is unused here; bench/tracer.py patches it in this module by name.
+# Name -> the module it comes from, for every name that only some commands
+# use; each command binds the names of its own modules with ``_bind``.
+# ``truth_bits`` is unused here; bench/tracer.py patches it in this module by name.
 _DEFERRED = {
     name: module
     for module, names in {
         "numpy": "np",
+        "threading": "threading",
+        "concurrent.futures": "ThreadPoolExecutor",
         ".calibration": "bins_csv calibration_record fit_temperature",
+        ".captions": "read_clip_captions read_frame_captions synthesize_clip_caption "
+        "synthesize_frame_caption write_clip_captions write_frame_captions",
         ".detection": "AnnotationTable probabilities_from_logits rank_keys read_logits "
         "threshold_detect truth_bits write_detections",
         ".embeddings": "EmbeddingTable",
         ".metrics": "MetricReport aggregate_caption_metrics average_precision classification_metrics",
+        ".report": "llm_generate merge_timeline offline_report render_prompt render_timeline write_report",
+        ".windowing": "window_video write_clip_manifest",
     }.items()
     for name in names.split()
 }
+_MODULES = {"np", "threading"}  # deferred names bound to the module itself
 
 
 def __getattr__(name: str):
@@ -83,12 +88,14 @@ def __getattr__(name: str):
     if name not in _DEFERRED:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     module = importlib.import_module(_DEFERRED[name], __package__)
-    return globals().setdefault(name, module if name == "np" else getattr(module, name))
+    return globals().setdefault(name, module if name in _MODULES else getattr(module, name))
 
 
-def _bind_deferred() -> None:
-    for name in _DEFERRED:
-        __getattr__(name)
+def _bind(*modules: str) -> None:
+    """Bind every deferred name of ``modules`` here, before a command's functions look them up."""
+    for name, module in _DEFERRED.items():
+        if module in modules:
+            __getattr__(name)
 
 
 log = logging.getLogger(__name__)
@@ -144,6 +151,18 @@ def _load_records(config: PipelineConfig, videos: list[str] | None):
     return records, vocab
 
 
+def _annotation_table(config: PipelineConfig, videos: list[str] | None) -> AnnotationTable:
+    """The annotations as columns, checked and restricted to ``videos`` as ``_load_records`` does."""
+    validate_paths(config, ("annotations",))
+    table = AnnotationTable.read(config.paths.annotations, config.vocabulary())
+    if videos:
+        _check_videos(videos, table.video_ids)
+        table = table.select(videos)
+    if not table.video_ids:
+        raise ConfigError("no annotated videos to process")
+    return table
+
+
 def cmd_preprocess(config: PipelineConfig, videos: list[str] | None) -> list[Path]:
     """Write frame captions, clip captions, the clip manifest, and durations.
 
@@ -151,6 +170,7 @@ def cmd_preprocess(config: PipelineConfig, videos: list[str] | None) -> list[Pat
     at once; the clip windows are kept, as the clip captions and the
     manifest both iterate them.
     """
+    _bind(".captions", ".windowing")
     records, vocab = _load_records(config, videos)
     out = _make_output_dir(config)
     clips = [
@@ -192,7 +212,7 @@ def cmd_preprocess(config: PipelineConfig, videos: list[str] | None) -> list[Pat
 
 def cmd_detect(config: PipelineConfig, videos: list[str] | None) -> list[Path]:
     """Map logits to probabilities and thresholded detections."""
-    _bind_deferred()
+    _bind("numpy", ".detection")
     validate_paths(config, ("logits",))
     vocab = config.vocabulary()
     table = read_logits(config.paths.logits)
@@ -211,16 +231,14 @@ def cmd_detect(config: PipelineConfig, videos: list[str] | None) -> list[Path]:
 
 def _validation_set(config: PipelineConfig, videos: list[str] | None) -> tuple[np.ndarray, np.ndarray]:
     """Logits and boolean truth of the validation frames, in (video_id, frame) order."""
-    records, vocab = _load_records(config, videos)
-    split = config.split
-    labels = np.frombuffer(split_labels(records, split.ratios, split.seed, split.granularity), np.uint8)
+    annotations = _annotation_table(config, videos)
+    split, counts = config.split, np.diff(annotations.starts).tolist()
+    labels = np.frombuffer(split_labels(counts, split.ratios, split.seed, split.granularity), np.uint8)
     validation = np.flatnonzero(labels == 2)  # annotation rows
     if not validation.size:
         raise ConfigError(
             f"split.ratios {list(split.ratios)} leave no validation frames to calibrate on"
         )
-    annotations = AnnotationTable.from_records(records, vocab)
-    del records  # the frames are in the table; the logits are read without them
     table = read_logits(config.paths.logits)
     rows = annotations.rows_of(table)
     annotated = rows >= 0
@@ -238,7 +256,7 @@ def _validation_set(config: PipelineConfig, videos: list[str] | None) -> tuple[n
 
 def cmd_calibrate(config: PipelineConfig, videos: list[str] | None) -> list[Path]:
     """Fit the temperature on the validation split and export the results."""
-    _bind_deferred()
+    _bind("numpy", ".detection", ".calibration")
     validate_paths(config, ("annotations", "logits"))
     z, y = _validation_set(config, videos)
     try:
@@ -304,9 +322,7 @@ def _caption_pairs(generated_path: str, reference_path: str, kind: str) -> list[
 def _detection_report(config: PipelineConfig, vocab) -> dict | None:
     if not config.paths.logits:
         return None
-    records, _ = _load_records(config, None)
-    annotations = AnnotationTable.from_records(records, vocab)
-    del records
+    annotations = _annotation_table(config, None)
     table = read_logits(config.paths.logits)
     if not len(table):
         raise ConfigError(f"no logits records in {config.paths.logits}")
@@ -314,9 +330,10 @@ def _detection_report(config: PipelineConfig, vocab) -> dict | None:
     missing = np.flatnonzero(rows < 0)
     if missing.size:
         raise ConfigError(f"logits rows without annotations, e.g. {table.keys(missing[:3])}")
-    truth = annotations.truth[rows]
+    truth, logits = annotations.truth[rows], table.values
+    del annotations, table, rows  # from here only the logits and their truth rows are used
     # The logits are not read again, so they are squashed where they are.
-    probs = probabilities_from_logits(table.values, config.detection.mode, out=table.values)
+    probs = probabilities_from_logits(logits, config.detection.mode, out=logits)
     cls = classification_metrics(threshold_detect(probs, config.detection.threshold), truth)
     ap = average_precision(probs, truth, n_instruments=len(vocab.instruments))
     row = MetricReport(
@@ -332,7 +349,7 @@ def cmd_evaluate(config: PipelineConfig, videos: list[str] | None) -> list[Path]
     """Score generated captions against references; add detection metrics."""
     if videos:
         raise ConfigError("evaluate scores every video and takes no --videos")
-    _bind_deferred()
+    _bind("numpy", ".detection", ".metrics", ".embeddings")
     vocab = config.vocabulary()
     out = config.output_dir()
     evaluate = config.evaluate
@@ -353,6 +370,7 @@ def cmd_evaluate(config: PipelineConfig, videos: list[str] | None) -> list[Path]
     for scope, generated, reference, kind in scopes:
         if generated is None:
             continue
+        _bind(".captions")
         for label, path in (("generated", generated), ("reference", reference)):
             if not Path(path).exists():
                 raise ConfigError(f"{scope} {label} captions not found: {path}")
@@ -386,6 +404,7 @@ def _csv_cell(value) -> str:
 
 def cmd_report(config: PipelineConfig, videos: list[str] | None) -> list[Path]:
     """Write the offline report per video, plus the endpoint report if enabled."""
+    _bind(".captions", ".report", "threading", "concurrent.futures")
     vocab = config.vocabulary()
     clip_path = config.output_dir() / "clip_captions.jsonl"
     if not clip_path.exists():

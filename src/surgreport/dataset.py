@@ -9,18 +9,28 @@ Verb and target slots accept the literal token ``"null"`` (or the explicit
 null category names) to mark an instrument that is merely present. Parsed
 triplets always carry ``None`` for absent components, so downstream code
 sees a single representation.
+
+One per-line parser, ``frame_lines``, checks each record (its fields, a
+non-empty id, the phase and triplet names) and has two consumers: the
+``VideoRecord`` path here (``parse_annotations``, ``load_annotations``), which
+``preprocess`` and the library use, and ``detection.AnnotationTable.read``,
+which decodes the lines of ``calibrate`` and ``evaluate`` straight into
+columns. Both keep the per-file rules, in this order: the first faulty line
+wins, a repeated frame is reported at its line (before a later faulty line),
+then non-contiguous frames; in a directory, ``per_file`` refuses a video
+found in two files.
 """
 
 from __future__ import annotations
 
 import random
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from itertools import accumulate
 from operator import attrgetter
 from pathlib import Path
-from typing import NamedTuple
+from typing import Any, NamedTuple
 
 from .errors import RecordError
 from .jsonl import dump_jsonl, iter_jsonl, stream_jsonl, write_jsonl
@@ -63,15 +73,17 @@ class VideoRecord:
     def __post_init__(self) -> None:
         for expected, frame in enumerate(self.frames):
             if frame.frame_index != expected:
-                raise ValueError(
-                    f"video {self.video_id}: frame indices must be contiguous from 0, "
-                    f"found {frame.frame_index} at position {expected}"
-                )
+                raise ValueError(gap_message(self.video_id, frame.frame_index, expected))
             if frame.video_id != self.video_id:
                 raise ValueError(f"video {self.video_id}: frame belongs to {frame.video_id}")
 
     def __len__(self) -> int:
         return len(self.frames)
+
+
+def gap_message(video_id: str, found: int, position: int) -> str:
+    """The error for frames of ``video_id`` that do not run from 0 without gaps."""
+    return f"video {video_id}: frame indices must be contiguous from 0, found {found} at position {position}"
 
 
 @dataclass(frozen=True)
@@ -107,7 +119,7 @@ def _parse_triplet(raw: object, vocab: Vocabulary) -> Triplet:
     return Triplet(instrument=instrument, verb=verb, target=target)
 
 
-_ANNOTATION_FIELDS = {"video_id": str, "frame": int, "phase": str, "triplets": list}
+ANNOTATION_FIELDS = {"video_id": str, "frame": int, "phase": str, "triplets": list}
 
 
 def parse_annotations(
@@ -119,14 +131,17 @@ def parse_annotations(
     records, unknown label names, and duplicate frame indices raise
     RecordError with the offending line number.
     """
-    return _video_records(iter_jsonl(source, source_name, _ANNOTATION_FIELDS), vocab, source_name)
+    return _video_records(iter_jsonl(source, source_name, ANNOTATION_FIELDS), vocab, source_name)
 
 
-def _video_records(
+def frame_lines(
     records: Iterable[tuple[int, dict]], vocab: Vocabulary, source_name: str
-) -> list[VideoRecord]:
-    """Validated video records from numbered annotation records, consumed one at a time."""
-    frames_by_video: dict[str, dict[int, FrameAnnotation]] = {}
+) -> Iterator[tuple[int, str, int, int, tuple[Triplet, ...]]]:
+    """(line, video_id, frame, phase, triplets) of each numbered annotation record, in order.
+
+    The one statement of the per-line rules: an empty id, an unknown phase or
+    triplet name, or a malformed triplet raises RecordError at its line.
+    """
     # One Triplet per distinct [instrument, verb, target] list in this source.
     # Only a list is looked up: a dict or a string whose tuple() equals a key
     # must still reach _parse_triplet and be rejected there.
@@ -144,7 +159,7 @@ def _video_records(
             return _parse_triplet(raw, vocab)
 
     for lineno, obj in records:
-        video_id, frame_index = obj["video_id"], obj["frame"]
+        video_id = obj["video_id"]
         if not video_id:
             raise RecordError("video_id must be a non-empty string", source_name, lineno)
         try:
@@ -152,13 +167,18 @@ def _video_records(
             triplets = tuple(map(triplet_of, obj["triplets"]))
         except KeyError as exc:
             raise RecordError(str(exc).strip('"'), source_name, lineno) from None
+        yield lineno, video_id, obj["frame"], phase, triplets
+
+
+def _video_records(
+    records: Iterable[tuple[int, dict]], vocab: Vocabulary, source_name: str
+) -> list[VideoRecord]:
+    """Validated video records from numbered annotation records, consumed one at a time."""
+    frames_by_video: dict[str, dict[int, FrameAnnotation]] = {}
+    for lineno, video_id, frame_index, phase, triplets in frame_lines(records, vocab, source_name):
         frames = frames_by_video.setdefault(video_id, {})
         if frame_index in frames:
-            raise RecordError(
-                f"duplicate frame index {frame_index} for video {video_id}",
-                source_name,
-                lineno,
-            )
+            raise RecordError(repeat_message(video_id, frame_index), source_name, lineno)
         frames[frame_index] = FrameAnnotation(video_id, frame_index, triplets, phase)
 
     records = []
@@ -171,30 +191,44 @@ def _video_records(
     return records
 
 
-def load_annotations(path: str | Path, vocab: Vocabulary) -> list[VideoRecord]:
-    """Load one annotation file, or every ``*.jsonl`` file in a directory.
+def repeat_message(video_id: str, frame: int) -> str:
+    """The error for a second record of one video's frame."""
+    return f"duplicate frame index {frame} for video {video_id}"
 
-    A video id found in two files is an error, not a merge.
+
+def per_file(
+    path: str | Path, read: Callable[[Path], Any], video_ids: Callable[[Any], Iterable[str]]
+) -> list:
+    """``read`` of the annotation file at ``path``, or of every ``*.jsonl`` file in a directory.
+
+    ``video_ids`` gives a part's ids in the order they first appear in its
+    file. A video id found in two files is an error, not a merge.
     """
     path = Path(path)
-    if path.is_dir():
-        files = sorted(path.glob("*.jsonl"))
-        if not files:
-            raise RecordError("no annotation files found", str(path))
-        records: list[VideoRecord] = []
-        source: dict[str, Path] = {}  # video id -> its file
-        for file in files:
-            for record in _load_file(file, vocab):
-                earlier = source.setdefault(record.video_id, file)
-                if earlier != file:
-                    raise RecordError(f"video {record.video_id} is already in {earlier}", str(file))
-                records.append(record)
-        return records
-    return _load_file(path, vocab)
+    if not path.is_dir():
+        return [read(path)]
+    files = sorted(path.glob("*.jsonl"))
+    if not files:
+        raise RecordError("no annotation files found", str(path))
+    parts = []
+    source: dict[str, Path] = {}  # video id -> its file
+    for file in files:
+        parts.append(read(file))
+        for video_id in video_ids(parts[-1]):
+            earlier = source.setdefault(video_id, file)
+            if earlier != file:
+                raise RecordError(f"video {video_id} is already in {earlier}", str(file))
+    return parts
 
 
-def _load_file(path: Path, vocab: Vocabulary) -> list[VideoRecord]:
-    return _video_records(stream_jsonl(path, _ANNOTATION_FIELDS), vocab, str(path))
+def load_annotations(path: str | Path, vocab: Vocabulary) -> list[VideoRecord]:
+    """Load one annotation file, or every ``*.jsonl`` file in a directory (see ``per_file``)."""
+
+    def read(file: Path) -> list[VideoRecord]:
+        return _video_records(stream_jsonl(file, ANNOTATION_FIELDS), vocab, str(file))
+
+    parts = per_file(path, read, lambda records: [r.video_id for r in records])
+    return [record for part in parts for record in part]
 
 
 def annotation_record(frame: FrameAnnotation, vocab: Vocabulary) -> dict:
@@ -245,12 +279,14 @@ def by_video_id(records: Iterable[VideoRecord]) -> list[VideoRecord]:
 
 
 def split_labels(
-    records: list[VideoRecord],
+    counts: list[int],
     ratios: tuple[float, float, float] = (0.8, 0.1, 0.1),
     seed: int = 0,
     granularity: str = "frame",
 ) -> bytearray:
     """The part of every frame, 0 train, 1 test or 2 validation, in (video_id, frame) order.
+
+    ``counts`` holds each video's frame count, the videos in sorted id order.
 
     Frame granularity shuffles individual frames, matching the upstream
     80/10/10 protocol; set sizes land within one frame of the exact ratios.
@@ -264,8 +300,7 @@ def split_labels(
         raise ValueError(f"granularity must be 'frame' or 'video', got {granularity!r}")
 
     rng = random.Random(seed)
-    videos = by_video_id(records)
-    labels = bytearray(sum(len(v) for v in videos))
+    labels = bytearray(sum(counts))
     if granularity == "frame":
         # A shuffle's swaps depend only on the length, so the row numbers are
         # permuted as the sorted (video_id, frame) refs would be.
@@ -277,16 +312,16 @@ def split_labels(
         for row in rows[n_train + n_test :]:
             labels[row] = 2
     else:
-        starts = list(accumulate((len(v) for v in videos), initial=0))
-        order = list(range(len(videos)))
+        starts = list(accumulate(counts, initial=0))
+        order = list(range(len(counts)))
         rng.shuffle(order)
         targets = [r * len(labels) for r in ratios]
         filled = [0, 0, 0]
         for v in order:
             deficits = [targets[i] - filled[i] for i in range(3)]
             slot = max(range(3), key=lambda i: (deficits[i], -i))
-            labels[starts[v] : starts[v + 1]] = bytes([slot]) * len(videos[v])
-            filled[slot] += len(videos[v])
+            labels[starts[v] : starts[v + 1]] = bytes([slot]) * counts[v]
+            filled[slot] += counts[v]
     return labels
 
 
@@ -297,8 +332,9 @@ def split_dataset(
     granularity: str = "frame",
 ) -> DatasetSplit:
     """Partition all frames into train/test/validation sets, as ``split_labels`` labels them."""
-    labels = split_labels(records, ratios, seed, granularity)
-    refs = ((rec.video_id, f.frame_index) for rec in by_video_id(records) for f in rec.frames)
+    videos = by_video_id(records)
+    labels = split_labels([len(v) for v in videos], ratios, seed, granularity)
+    refs = ((rec.video_id, f.frame_index) for rec in videos for f in rec.frames)
     parts: tuple[list[FrameRef], list[FrameRef], list[FrameRef]] = ([], [], [])
     for ref, label in zip(refs, labels):
         parts[label].append(ref)

@@ -25,21 +25,27 @@ a time, so no list of the whole table is built.
 
 The annotations the scoring commands join against load into one columnar
 ``AnnotationTable``: rows in (video_id, frame) order, each video's first
-row, and a boolean (N, 21) truth matrix. A logits row finds its frame's row
-by arithmetic on those offsets (``rows_of``), with no per-frame key.
+row, and a boolean (N, 21) truth matrix. ``AnnotationTable.read`` decodes the
+annotation lines straight into those columns; it is the second consumer of
+the one per-line parser, ``dataset.frame_lines`` (the ``VideoRecord`` path
+of ``load_annotations`` is the first), and finds repeats and gaps from the
+key columns with ``rank_keys``, with ``load_annotations``' messages, lines
+and order. A logits row finds its frame's row by arithmetic on those
+offsets (``rows_of``), with no per-frame key.
 """
 
 from __future__ import annotations
 
 from array import array
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from itertools import compress
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
 
-from .dataset import FrameAnnotation, VideoRecord, by_video_id
+from .dataset import ANNOTATION_FIELDS, FrameAnnotation, frame_lines, gap_message, per_file, repeat_message
 from .errors import RecordError
 # ``read_jsonl`` is unused here; bench/tracer.py patches it in this module by name.
 from .jsonl import read_jsonl, record_line, stream_jsonl, write_jsonl  # noqa: F401
@@ -119,8 +125,8 @@ class AnnotationTable:
     """Annotated frames as columns, one row per frame in (video_id, frame) order.
 
     Video ``video_ids[v]`` (sorted) holds rows ``starts[v]`` to
-    ``starts[v + 1]``; as a ``VideoRecord``'s frames run from 0 with no
-    gaps, its frame f is row ``starts[v] + f``. ``truth`` holds each row's
+    ``starts[v + 1]``; as a video's frames run from 0 with no gaps, its
+    frame f is row ``starts[v] + f``. ``truth`` holds each row's
     ``truth_bits`` as booleans.
     """
 
@@ -129,21 +135,24 @@ class AnnotationTable:
     truth: np.ndarray  # bool, shape (N, 21)
 
     @classmethod
-    def from_records(cls, records: list[VideoRecord], vocab: Vocabulary) -> "AnnotationTable":
-        """The table of the records, its truth matrix filled in one pass over their frames."""
-        videos = by_video_id(records)
-        starts = np.zeros(len(videos) + 1, dtype=np.int64)
-        np.cumsum([len(v) for v in videos], out=starts[1:])
-        width, n_instruments = len(vocab.detection_classes), len(vocab.instruments)
-        cells = array("q")  # flat index of every true cell
-        for row, frame in enumerate(f for v in videos for f in v.frames):
-            for triplet in frame.triplets:
-                cells.append(row * width + triplet.instrument)
-                if triplet.target is not None:
-                    cells.append(row * width + n_instruments + triplet.target)
-        truth = np.zeros((int(starts[-1]), width), dtype=bool)
-        truth.reshape(-1)[np.frombuffer(cells, dtype=np.int64)] = True
-        return cls(tuple(v.video_id for v in videos), starts, truth)
+    def read(cls, path: str | Path, vocab: Vocabulary) -> "AnnotationTable":
+        """The table of an annotation file, or of every ``*.jsonl`` file in a directory.
+
+        Each line goes through ``dataset.frame_lines`` and into columns: the
+        video id, the frame, and the row's classes as bits of one integer. No
+        ``FrameAnnotation`` is made. Every error is ``load_annotations``' own.
+        """
+        tables = per_file(path, lambda file: _read_annotation_file(file, vocab), itemgetter(1))
+        if len(tables) == 1:
+            return tables[0][0]
+        blocks = [(table, v) for table, _ in tables for v in range(len(table.video_ids))]
+        return _of_videos(tables[0][0].truth[:0], sorted(blocks, key=lambda b: b[0].video_ids[b[1]]))
+
+    def select(self, video_ids: Iterable[str]) -> "AnnotationTable":
+        """The table of the videos named in ``video_ids``, each video's rows as one range."""
+        wanted = set(video_ids)
+        blocks = [(self, v) for v, name in enumerate(self.video_ids) if name in wanted]
+        return _of_videos(self.truth[:0], blocks)
 
     def __len__(self) -> int:
         return len(self.truth)
@@ -161,6 +170,71 @@ class AnnotationTable:
         frames = table.frames
         inside = (frames >= 0) & (frames < np.append(np.diff(self.starts), 0)[video])
         return np.where(inside, self.starts[video] + frames, -1)
+
+
+def _of_videos(empty: np.ndarray, blocks: list[tuple[AnnotationTable, int]]) -> AnnotationTable:
+    """A table of the given (table, video index) blocks in order; ``empty`` is a (0, K) truth."""
+    sizes = [int(t.starts[v + 1] - t.starts[v]) for t, v in blocks]
+    starts = np.zeros(len(blocks) + 1, dtype=np.int64)
+    np.cumsum(sizes, out=starts[1:])
+    truth = np.concatenate([empty, *(t.truth[t.starts[v] : t.starts[v + 1]] for t, v in blocks)])
+    return AnnotationTable(tuple(t.video_ids[v] for t, v in blocks), starts, truth)
+
+
+def _read_annotation_file(path: Path, vocab: Vocabulary) -> tuple[AnnotationTable, list[str]]:
+    """One file's table, and its video ids in the order they first appear.
+
+    The rows are checked as ``load_annotations`` checks them: the first
+    faulty line, unless an earlier line repeats a frame; then a repeated
+    frame; then a video whose frames do not run from 0 without gaps.
+    """
+    source = str(path)
+    n_instruments = len(vocab.instruments)
+    first_seen: dict[str, str] = {}  # each video id once, in the order it first appears
+    ids: list[str] = []
+    frames = array("q")
+    classes = array("q")  # per row, bit c set for each detection class c in its truth
+
+    def ranked() -> tuple[list[str], np.ndarray, np.ndarray]:
+        names, codes, order, repeat = rank_keys(ids, np.frombuffer(frames, dtype=np.int64))
+        if repeat is not None:
+            raise RecordError(repeat_message(ids[repeat], frames[repeat]), source, record_line(path, repeat))
+        return names, codes, order
+
+    lines = frame_lines(stream_jsonl(path, ANNOTATION_FIELDS), vocab, source)
+    try:
+        for _, video_id, frame, _, triplets in lines:
+            ids.append(first_seen.setdefault(video_id, video_id))
+            frames.append(frame)
+            bits = 0
+            for triplet in triplets:
+                bits |= 1 << triplet.instrument
+                if triplet.target is not None:
+                    bits |= 1 << (n_instruments + triplet.target)
+            classes.append(bits)
+    except RecordError:
+        ranked()  # a frame repeated before the faulty line is the first fault
+        raise
+    names, codes, order = ranked()
+    del ids
+    counts = np.bincount(codes, minlength=len(names))
+    del codes
+    starts = np.zeros(len(names) + 1, dtype=np.int64)
+    np.cumsum(counts, out=starts[1:])
+    # With no repeat, a video's frames run from 0 without gaps when its last is its count - 1.
+    column = np.frombuffer(frames, dtype=np.int64)
+    broken = {names[v] for v in np.flatnonzero(column[order[starts[1:] - 1]] != counts - 1).tolist()}
+    if broken:
+        video_id = next(v for v in first_seen if v in broken)  # as a VideoRecord list runs
+        v = names.index(video_id)
+        found = column[order[starts[v] : starts[v + 1]]]
+        position = int(np.flatnonzero(found != np.arange(len(found)))[0])
+        raise RecordError(gap_message(video_id, int(found[position]), position), source)
+    # The class bits, least significant first, of each row in table order.
+    as_bytes = np.frombuffer(classes, dtype=np.int64)[order].astype("<i8", copy=False).view(np.uint8)
+    width = len(vocab.detection_classes)
+    truth = np.unpackbits(as_bytes.reshape(-1, 8), axis=1, count=width, bitorder="little").view(bool)
+    return AnnotationTable(tuple(names), starts, truth), list(first_seen)
 
 
 @dataclass(frozen=True)
@@ -310,9 +384,17 @@ def weighted_bce(
 def bernoulli_log_likelihood(labels: np.ndarray, logits: np.ndarray, temperature: float = 1.0) -> np.ndarray:
     """Per element, y log p + (1 - y) log(1 - p) for p = sigmoid(z / T) clamped
     to [PROBABILITY_FLOOR, 1 - PROBABILITY_FLOOR], so both logs are finite."""
+    # In place, by the ufuncs of labels * log(p) + (1 - labels) * log(1 - p) in
+    # their order: at most three matrices at once, not five.
     p = probabilities_from_logits(logits, "sigmoid", temperature)
-    p = np.clip(p, PROBABILITY_FLOOR, 1.0 - PROBABILITY_FLOOR)
-    return labels * np.log(p) + (1.0 - labels) * np.log(1.0 - p)
+    np.clip(p, PROBABILITY_FLOOR, 1.0 - PROBABILITY_FLOOR, out=p)
+    terms = np.log(p)
+    np.multiply(labels, terms, out=terms)
+    others = np.subtract(1.0, labels)
+    np.subtract(1.0, p, out=p)
+    np.log(p, out=p)
+    np.multiply(others, p, out=others)
+    return np.add(terms, others, out=terms)
 
 
 def truth_bits(frame: FrameAnnotation, vocab: Vocabulary) -> np.ndarray:

@@ -24,6 +24,7 @@ import json
 import os
 from collections.abc import Iterable, Iterator, Mapping
 from contextlib import contextmanager
+from itertools import islice
 from pathlib import Path
 from typing import Any, TextIO
 
@@ -115,10 +116,13 @@ def read_jsonl(path: str | Path, fields: Mapping[str, type] | None = None) -> li
 
 
 def record_line(path: str | Path, index: int) -> int:
-    """1-based line number of the record at ``index`` in ``read_jsonl(path)``."""
+    """1-based line number of the record at ``index`` in ``read_jsonl(path)``.
+
+    Only the lines up to that record are read, so a later faulty line does not raise.
+    """
     with open(path, "rb") as file:
         lines = enumerate(_decoded(file, str(path)), start=1)
-        return [n for n, line in lines if line.strip()][index]
+        return next(islice((n for n, line in lines if line.strip()), index, None))
 
 
 def dump_jsonl(records: Iterable[Any]) -> str:

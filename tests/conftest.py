@@ -6,11 +6,13 @@ import random
 import socket
 import threading
 import tracemalloc
+from array import array
 
+import numpy as np
 import pytest
 
-from surgreport.dataset import FrameAnnotation, Triplet, VideoRecord
-from surgreport.detection import LogitsRecord, truth_bits
+from surgreport.dataset import FrameAnnotation, Triplet, VideoRecord, by_video_id
+from surgreport.detection import AnnotationTable, LogitsRecord, truth_bits
 from surgreport.vocab import NULL_TARGET_NAME, NULL_VERB_NAME, default_vocabulary
 
 
@@ -44,6 +46,23 @@ def frame(vocab, video_id, index, phase, triplets=()) -> FrameAnnotation:
         tuple(t if isinstance(t, Triplet) else triplet(vocab, *t) for t in triplets),
         vocab.index_of("phases", phase),
     )
+
+
+def annotation_table(records: list[VideoRecord], vocab) -> AnnotationTable:
+    """The oracle of ``AnnotationTable.read``: the table of parsed records, filled frame by frame."""
+    videos = by_video_id(records)
+    starts = np.zeros(len(videos) + 1, dtype=np.int64)
+    np.cumsum([len(v) for v in videos], out=starts[1:])
+    width, n_instruments = len(vocab.detection_classes), len(vocab.instruments)
+    cells = array("q")  # flat index of every true cell
+    for row, frame in enumerate(f for v in videos for f in v.frames):
+        for triplet in frame.triplets:
+            cells.append(row * width + triplet.instrument)
+            if triplet.target is not None:
+                cells.append(row * width + n_instruments + triplet.target)
+    truth = np.zeros((int(starts[-1]), width), dtype=bool)
+    truth.reshape(-1)[np.frombuffer(cells, dtype=np.int64)] = True
+    return AnnotationTable(tuple(v.video_id for v in videos), starts, truth)
 
 
 def make_corpus(vocab, n_videos=3, n_frames=100, seed=0) -> list[VideoRecord]:

@@ -948,6 +948,27 @@ def test_only_the_scoring_commands_load_numpy(workspace, vocab):
     assert json.loads(last_line) == {"preprocess": False, "report": False, "detect": True}
 
 
+def test_each_command_loads_only_its_own_modules(workspace, vocab):
+    _, _, config = _logits_workspace(workspace, vocab)
+    assert main(["preprocess", "--config", config]) == 0  # report reads its clip captions
+    watched = [f"surgreport.{m}" for m in ("captions", "report", "windowing", "metrics", "calibration", "embeddings")]
+    code = (
+        "import json, sys\n"
+        "from surgreport.cli import main\n"
+        "assert main([sys.argv[1], '--config', sys.argv[2], '--offline']) == 0\n"
+        f"print(json.dumps(sorted(m for m in {watched + ['concurrent.futures']!r} if m in sys.modules)))\n"
+    )
+    # Each command in a fresh interpreter; the config scores logits only.
+    loaded = {command: json.loads(_python(code, command, config).splitlines()[-1]) for command in COMMANDS}
+    assert loaded == {
+        "preprocess": ["surgreport.captions", "surgreport.windowing"],
+        "detect": [],
+        "calibrate": ["surgreport.calibration"],
+        "evaluate": ["surgreport.embeddings", "surgreport.metrics"],
+        "report": ["concurrent.futures", "surgreport.captions", "surgreport.report", "surgreport.windowing"],
+    }
+
+
 def test_no_command_loads_openssl(workspace, vocab):
     tmp_path, _, annotations, out, _ = workspace
     logits_path, _, config = _logits_workspace(workspace, vocab)

@@ -222,3 +222,4 @@ def test_library_defaults_match_the_config_defaults():
     assert (default(dataset.split_labels, "seed"), split.seed) == (0, 7)
     assert default(detection.threshold_detect, "threshold") == DetectionConfig().threshold
     assert default(detection.probabilities_from_logits, "mode") == DetectionConfig().mode
+    assert default(calibration.fit_temperature, "mode") == DetectionConfig().mode

@@ -206,9 +206,9 @@ def test_split_labels_equal_the_shuffled_refs_oracle(case, granularity):
     expected = _split_oracle(records, ratios, seed, granularity)
     split = split_dataset(records, ratios, seed, granularity)
     assert (split.train, split.test, split.validation) == expected
-    labels = split_labels(records, ratios, seed, granularity)
-    rows = [(rec.video_id, f.frame_index) for rec in sorted(records, key=lambda r: r.video_id)
-            for f in rec.frames]
+    videos = sorted(records, key=lambda r: r.video_id)
+    labels = split_labels([len(rec) for rec in videos], ratios, seed, granularity)
+    rows = [(rec.video_id, f.frame_index) for rec in videos for f in rec.frames]
     assert tuple(frozenset(ref for ref, label in zip(rows, labels) if label == part)
                  for part in range(3)) == expected
 

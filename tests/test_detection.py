@@ -3,6 +3,9 @@ from __future__ import annotations
 import json
 import math
 import random
+import tempfile
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +15,7 @@ from hypothesis.extra.numpy import array_shapes, arrays
 
 from surgreport import cli
 from surgreport.config import config_from_mapping
-from surgreport.dataset import VideoRecord, write_annotations
+from surgreport.dataset import VideoRecord, load_annotations, parse_annotations, write_annotations
 from surgreport.detection import (
     AnnotationTable,
     ClassWeights,
@@ -32,8 +35,9 @@ from surgreport.detection import (
     LogitsRecord,
 )
 from surgreport.errors import RecordError
+from surgreport.vocab import default_vocabulary
 
-from conftest import frame, make_corpus, make_logits, traced_peak
+from conftest import annotation_table, frame, make_corpus, make_logits, traced_peak
 
 
 def test_patch_count_standard_input():
@@ -482,7 +486,7 @@ def test_write_detections_peak_is_a_small_share_of_the_matrix(tmp_path, vocab, g
 
 def test_annotation_table_rows_truth_and_join(vocab):
     records = make_corpus(vocab, n_videos=4, n_frames=30, seed=4)
-    table = AnnotationTable.from_records(records[::-1], vocab)
+    table = annotation_table(records[::-1], vocab)
     assert table.video_ids == ("VID01", "VID02", "VID03", "VID04")
     assert table.starts.tolist() == [0, 30, 60, 90, 120]
     assert table.truth.dtype == bool
@@ -522,7 +526,7 @@ def test_logits_ids_that_differ_by_a_trailing_nul_are_two_videos(tmp_path, vocab
     assert table.names == ("V", "V\0")
     assert table.keys() == [("V", 0), ("V\0", 0)]
     records = [VideoRecord(v, (frame(vocab, v, 0, "preparation"),)) for v in ("V\0", "V")]
-    annotations = AnnotationTable.from_records(records, vocab)
+    annotations = annotation_table(records, vocab)
     assert annotations.video_ids == ("V", "V\0")
     assert annotations.rows_of(table).tolist() == [0, 1]
 
@@ -536,6 +540,158 @@ def test_a_logits_key_that_differs_by_a_trailing_nul_is_not_a_repeat(tmp_path):
     assert "duplicate logits row for V\0@0" in str(exc.value)
 
 
+# Triplets as annotation files may write them: a verb or target may be absent,
+# but a target needs a verb.
+_TRIPLETS = [
+    ["grasper", "grasp", "gallbladder"],
+    ["hook", "null", "null"],
+    ["hook", "dissect", "cystic_duct"],
+    ["clipper", "clip", "cystic_artery"],
+    ["irrigator", "null_verb", "null_target"],
+    ["bipolar", "coagulate", "liver"],
+]
+
+
+@st.composite
+def _annotation_lines(draw):
+    """Valid annotation records, each video's frames shuffled among the others, as
+    (video_id, frame, JSON line) triples in file order."""
+    ids = draw(st.lists(st.sampled_from(["V", "V\0", "VID01", "VID02", "é", "A B"]), min_size=1, max_size=4, unique=True))
+    phases = default_vocabulary().phases
+    rows = []
+    for video_id in ids:
+        for index in range(draw(st.integers(1, 6))):
+            record = {
+                "video_id": video_id,
+                "frame": index,
+                "phase": draw(st.sampled_from(phases)),
+                "triplets": draw(st.lists(st.sampled_from(_TRIPLETS), max_size=3)),
+            }
+            rows.append((video_id, index, json.dumps(record, ensure_ascii=False)))
+    return draw(st.permutations(rows))
+
+
+def _assert_tables_equal(table, expected):
+    assert table.video_ids == expected.video_ids
+    assert table.starts.tolist() == expected.starts.tolist()
+    assert table.truth.dtype == bool and table.truth.shape == expected.truth.shape
+    assert np.array_equal(table.truth, expected.truth)
+
+
+def _outcome(read):
+    """What ``read()`` gives: its value, or a tuple of the text and line of its RecordError."""
+    try:
+        return read()
+    except RecordError as exc:
+        return ("error", str(exc), exc.line)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_annotation_lines(), st.booleans())
+def test_the_column_reader_equals_the_record_oracle_on_valid_files(rows, blank_lines):
+    vocab = default_vocabulary()
+    text = "".join(line + ("\n\n" if blank_lines else "\n") for _, _, line in rows)
+    with tempfile.TemporaryDirectory() as root:
+        path = Path(root) / "annotations.jsonl"
+        path.write_text(text, encoding="utf-8")
+        _assert_tables_equal(AnnotationTable.read(path, vocab), annotation_table(parse_annotations(text, vocab), vocab))
+        # The same videos split over the files of a directory, by video.
+        directory = Path(root) / "dir"
+        directory.mkdir()
+        ids = sorted({video_id for video_id, _, _ in rows})
+        for n, video_id in enumerate(ids):
+            with open(directory / f"{n % 3}.jsonl", "a", encoding="utf-8") as file:
+                file.writelines(line + "\n" for v, _, line in rows if v == video_id)
+        expected = annotation_table(load_annotations(directory, vocab), vocab)
+        _assert_tables_equal(AnnotationTable.read(directory, vocab), expected)
+
+
+def _with_fault(rows, fault, data):
+    """The lines of ``rows`` with ``fault`` put in; the positions are drawn from ``data``."""
+    lines = [line for _, _, line in rows]
+    video_id, index, _ = rows[data.draw(st.integers(0, len(rows) - 1))]
+    bad_phase = json.dumps({"video_id": video_id, "frame": 99, "phase": "nap", "triplets": []})
+    repeat = json.dumps({"video_id": video_id, "frame": index, "phase": "preparation", "triplets": []})
+    if fault in ("repeat-then-bad-phase", "bad-phase-then-repeat"):
+        first = data.draw(st.integers(0, len(lines)))
+        second = data.draw(st.integers(first, len(lines))) + 1
+        faults = (repeat, bad_phase) if fault == "repeat-then-bad-phase" else (bad_phase, repeat)
+        lines.insert(first, faults[0])
+        lines.insert(second, faults[1])
+    elif fault == "gap":
+        # Drop a frame other than the last of each drawn video: the first of
+        # them in the file, not the least id, is the one reported.
+        sizes = Counter(v for v, _, _ in rows)
+        longer = sorted(v for v, n in sizes.items() if n > 1)
+        dropped = data.draw(st.sets(st.sampled_from(longer))) if longer else set()
+        frames = {v: data.draw(st.integers(0, sizes[v] - 2)) for v in dropped}
+        lines = [line for v, i, line in rows if frames.get(v) != i]
+    elif fault == "empty-id":
+        lines.insert(data.draw(st.integers(0, len(lines))), json.dumps({"video_id": "", "frame": 0, "phase": "preparation", "triplets": []}))
+    elif fault == "target-without-verb":
+        record = {"video_id": video_id, "frame": 50, "phase": "preparation", "triplets": [["hook", "null", "liver"]]}
+        lines.insert(data.draw(st.integers(0, len(lines))), json.dumps(record))
+    return "".join(line + "\n" for line in lines)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    _annotation_lines(),
+    st.sampled_from(["repeat-then-bad-phase", "bad-phase-then-repeat", "gap", "empty-id", "target-without-verb"]),
+    st.data(),
+)
+def test_the_column_reader_reports_each_fault_as_the_record_oracle_does(rows, fault, data):
+    vocab = default_vocabulary()
+    text = _with_fault(rows, fault, data)
+    with tempfile.TemporaryDirectory() as root:
+        path = Path(root) / "annotations.jsonl"
+        path.write_text(text, encoding="utf-8")
+        expected = _outcome(lambda: parse_annotations(text, vocab, str(path)))
+        if fault != "gap":  # a gap is drawn only in videos of two frames or more
+            assert isinstance(expected, tuple)
+        got = _outcome(lambda: AnnotationTable.read(path, vocab))
+        if isinstance(expected, tuple):
+            assert got == expected
+        else:
+            _assert_tables_equal(got, annotation_table(expected, vocab))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_annotation_lines(), st.data())
+def test_a_video_in_two_files_is_reported_as_the_record_oracle_does(rows, data):
+    vocab = default_vocabulary()
+    ids = sorted({video_id for video_id, _, _ in rows})
+    files = {video_id: data.draw(st.integers(0, 2)) for video_id in ids}
+    again = data.draw(st.sets(st.sampled_from(ids), min_size=1))  # also written to file 3
+    with tempfile.TemporaryDirectory() as root:
+        directory = Path(root)
+        for name in range(4):
+            (directory / f"{name}.jsonl").touch()
+        for video_id, n, line in rows:
+            for name in (files[video_id], 3) if video_id in again else (files[video_id],):
+                with open(directory / f"{name}.jsonl", "a", encoding="utf-8") as file:
+                    file.write(line + "\n")
+        expected = _outcome(lambda: load_annotations(directory, vocab))
+        assert isinstance(expected, tuple) and "is already in" in expected[1]
+        assert _outcome(lambda: AnnotationTable.read(directory, vocab)) == expected
+
+
+def test_a_repeat_before_a_line_that_is_not_utf8_is_the_error(tmp_path, vocab):
+    line = b'{"video_id": "V", "frame": 0, "phase": "preparation", "triplets": []}\n'
+    path = tmp_path / "annotations.jsonl"
+    path.write_bytes(line + line + b'{"video_id": "\xff"}\n')
+    expected = _outcome(lambda: load_annotations(path, vocab))
+    assert expected == ("error", f"{path}:2: duplicate frame index 0 for video V", 2)
+    assert _outcome(lambda: AnnotationTable.read(path, vocab)) == expected
+
+
+def test_select_keeps_the_named_videos_rows(vocab):
+    records = make_corpus(vocab, n_videos=4, n_frames=30, seed=4)
+    table = annotation_table(records, vocab)
+    _assert_tables_equal(table.select(["VID03", "VID01", "NOPE"]), annotation_table([records[0], records[2]], vocab))
+    assert table.select([]).truth.shape == (0, 21)
+
+
 @pytest.fixture(scope="module")
 def guard_config(tmp_path_factory, vocab):
     """A config over GUARD_ROWS annotated frames and their logits, and the logits matrix's bytes."""
@@ -545,7 +701,7 @@ def guard_config(tmp_path_factory, vocab):
     write_logits(root / "logits.jsonl", make_logits(records, vocab, seed=5))
     paths = {name: str(root / f"{name}.jsonl") for name in ("annotations", "logits")}
     config = config_from_mapping({"paths": {**paths, "output_dir": str(root / "out")}})
-    cli._bind_deferred()
+    cli._bind(*set(cli._DEFERRED.values()))  # every deferred name, so no import is counted
     return config, GUARD_ROWS * len(vocab.detection_classes) * 8
 
 
